@@ -7,6 +7,7 @@
 #ifndef VCP_BENCH_BENCH_UTIL_HH
 #define VCP_BENCH_BENCH_UTIL_HH
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -65,6 +66,21 @@ struct SweepOptions
     std::vector<std::string> positional;
 };
 
+/**
+ * Report a command-line or configuration error and exit with status 2,
+ * the usage-error convention vcpsim follows too.
+ */
+[[noreturn, gnu::format(printf, 1, 2)]] inline void
+benchUsageError(const char *fmt, ...)
+{
+    std::va_list ap;
+    va_start(ap, fmt);
+    std::string msg = vformatMessage(fmt, ap);
+    va_end(ap);
+    std::fprintf(stderr, "error: %s\n", msg.c_str());
+    std::exit(2);
+}
+
 /** Strict positive-integer option parsing (std::atoi would silently
  *  turn garbage into 0). */
 inline int
@@ -72,8 +88,8 @@ parsePositiveOption(const std::string &flag, const char *value)
 {
     int v = 0;
     if (!parseStrictPositiveInt(value, v))
-        fatal("%s expects a positive integer, got '%s'",
-              flag.c_str(), value);
+        benchUsageError("%s expects a positive integer, got '%s'",
+                        flag.c_str(), value);
     return v;
 }
 
@@ -84,8 +100,8 @@ parsePositiveDoubleOption(const std::string &flag, const char *value)
 {
     double v = 0;
     if (!parseStrictPositiveDouble(value, v))
-        fatal("%s expects a positive number, got '%s'",
-              flag.c_str(), value);
+        benchUsageError("%s expects a positive number, got '%s'",
+                        flag.c_str(), value);
     return v;
 }
 
@@ -102,7 +118,8 @@ parseSweepOptions(int argc, char **argv)
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                fatal("missing argument after %s", arg.c_str());
+                benchUsageError("missing argument after %s",
+                                arg.c_str());
             return argv[++i];
         };
         if (arg == "--serial")
@@ -134,7 +151,7 @@ maybeWriteCsv(const SweepOptions &o, const Table &t)
         return;
     std::ofstream out(o.csv);
     if (!out)
-        fatal("cannot write %s", o.csv.c_str());
+        benchUsageError("cannot write %s", o.csv.c_str());
     out << t.toCsv();
     std::printf("wrote %s\n", o.csv.c_str());
 }

@@ -1350,6 +1350,11 @@ ManagementServer::execRegister(CtxPtr ctx)
     VmId vm_id = req.vm;
     HostId host_id = (t == OpType::RegisterVm) ? req.host
                                                : inv.vm(vm_id).host;
+    if (!host_id.valid()) {
+        // Unregistering a VM that is registered nowhere.
+        finish(ctx, TaskError::InvalidState);
+        return;
+    }
     std::vector<LockRequest> lock_reqs = {
         {lockKey(vm_id), LockMode::Exclusive}};
     if (host_id.valid())

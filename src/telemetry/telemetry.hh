@@ -17,10 +17,8 @@
  * series names, and — because Merge-mode sharded execution is
  * byte-identical to serial — the same values for any shard count.
  *
- * Hot-path guard: like VCP_TRACER_ON for spans, the VCP_TELEM_ON(p)
- * macro compiles to `false` under -DVCP_TELEMETRY_DISABLED=1, letting
- * the optimizer drop every push site so the instrumented binary can
- * be proven byte-identical to an uninstrumented one.
+ * Hot-path guard: like VCP_TRACER_ON for spans, every push site is
+ * gated on VCP_TELEM_ON(p), so a detached registry costs one branch.
  */
 
 #ifndef VCP_TELEMETRY_TELEMETRY_HH
@@ -36,16 +34,8 @@
 #include "telemetry/instruments.hh"
 #include "trace/latency_hist.hh"
 
-#ifndef VCP_TELEMETRY_DISABLED
-#define VCP_TELEMETRY_DISABLED 0
-#endif
-
-#if VCP_TELEMETRY_DISABLED
-#define VCP_TELEM_ON(p) (false)
-#else
-/** True when telemetry pointer @p p is attached; compiled out when disabled. */
+/** True when telemetry pointer @p p is attached. */
 #define VCP_TELEM_ON(p) ((p) != nullptr)
-#endif
 
 namespace vcp {
 

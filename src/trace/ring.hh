@@ -12,11 +12,6 @@
  * full the ring wraps, overwriting the oldest records (the export
  * keeps the most recent window; the exact per-phase aggregation in
  * SpanTracer is fed separately and never drops).
- *
- * Compile-time switch: building with -DVCP_TRACE_DISABLED=1 compiles
- * every recording helper in the tree down to nothing (the hot-path
- * guard macro VCP_TRACE_ON evaluates to false), for deployments that
- * want the ~0% figure to be exactly 0.
  */
 
 #ifndef VCP_TRACE_RING_HH
@@ -32,16 +27,8 @@
 
 #include "sim/types.hh"
 
-#ifndef VCP_TRACE_DISABLED
-#define VCP_TRACE_DISABLED 0
-#endif
-
-#if VCP_TRACE_DISABLED
-#define VCP_TRACE_ON(ring) (false)
-#else
 /** Hot-path guard: true when @p ring is attached and enabled. */
 #define VCP_TRACE_ON(ring) ((ring) != nullptr && (ring)->enabled())
-#endif
 
 namespace vcp {
 

@@ -27,12 +27,8 @@
 #include "trace/latency_hist.hh"
 #include "trace/ring.hh"
 
-#if VCP_TRACE_DISABLED
-#define VCP_TRACER_ON(t) (false)
-#else
 /** Hot-path guard for SpanTracer pointers (see VCP_TRACE_ON). */
 #define VCP_TRACER_ON(t) ((t) != nullptr && (t)->enabled())
-#endif
 
 namespace vcp {
 

@@ -2,9 +2,9 @@
  * @file
  * Randomized operation-storm fuzzing of the management server.
  *
- * Issues a large stream of randomly parameterized operations — a
- * deliberate mix of valid and invalid — lets everything drain, and
- * then checks global invariants:
+ * Issues a large stream of randomly parameterized operations — every
+ * op verb, in a deliberate mix of valid and invalid requests — lets
+ * everything drain, and then checks global invariants:
  *
  *   - op accounting: submitted == completed + failed
  *   - no lock, dispatch slot, agent slot, or DB connection leaked
@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -67,6 +68,15 @@ class OpFuzzer
         base = inv.createDisk(bdc);
         inv.vm(tmpl).disks.push_back(base);
         vms.push_back(tmpl); // invalid target for many ops: good
+        srv.setTaskObserver([this](const Task &t) { hashTask(t); });
+    }
+
+    /** The stats dump plus a digest of every finished task. */
+    std::string
+    outcome() const
+    {
+        return stats.toCsv() + "tasks," + std::to_string(task_hash) +
+               "\n";
     }
 
     static ManagementServerConfig
@@ -184,6 +194,25 @@ class OpFuzzer
     }
 
   private:
+    /** Fold one finished task into the FNV-1a task digest. */
+    void
+    hashTask(const Task &t)
+    {
+        auto fold = [this](std::int64_t v) {
+            for (int i = 0; i < 8; ++i) {
+                task_hash ^= static_cast<std::uint64_t>(v >> (8 * i)) &
+                             0xffu;
+                task_hash *= 1099511628211ull;
+            }
+        };
+        fold(static_cast<std::int64_t>(t.type()));
+        fold(static_cast<std::int64_t>(t.error()));
+        fold(t.submittedAt());
+        fold(t.latency());
+        for (std::size_t p = 0; p < kNumTaskPhases; ++p)
+            fold(t.phaseTime(static_cast<TaskPhase>(p)));
+    }
+
     VmId
     randomVm()
     {
@@ -233,7 +262,7 @@ class OpFuzzer
         }
 
         OpRequest req;
-        int kind = static_cast<int>(rng.uniformInt(0, 11));
+        int kind = static_cast<int>(rng.uniformInt(0, 22));
         switch (kind) {
           case 0:
           case 1: { // linked clone off the template base
@@ -296,9 +325,88 @@ class OpFuzzer
                 rng.uniformInt(0, 1))];
             break;
           }
+          case 12:
+            req.type = OpType::Suspend;
+            break;
+          case 13:
+            req.type = OpType::Reset;
+            break;
+          case 14: { // from-scratch VM, sometimes too big to place
+            req.type = OpType::CreateVm;
+            req.host = randomHost();
+            req.datastore = randomDatastore();
+            req.vcpus = static_cast<int>(rng.uniformInt(1, 4));
+            req.memory = gib(rng.uniformInt(1, 4));
+            req.disk_size = gib(rng.uniformInt(1, 300));
+            srv.submit(req, [this](const Task &t) {
+                if (t.succeeded())
+                    vms.push_back(t.resultVm());
+            });
+            return;
+          }
+          case 15:
+            req.type = OpType::RegisterVm;
+            req.host = randomHost();
+            break;
+          case 16:
+            req.type = OpType::UnregisterVm;
+            break;
+          case 17:
+            req.type = OpType::AddHost;
+            req.host = randomHost();
+            break;
+          case 18:
+            req.type = OpType::RemoveHost;
+            req.host = randomHost();
+            break;
+          case 19:
+            req.type = OpType::EnterMaintenance;
+            req.host = randomHost();
+            break;
+          case 20:
+            req.type = OpType::ExitMaintenance;
+            req.host = randomHost();
+            break;
+          case 21: { // replicate the base, or a random (maybe delta) disk
+            req.type = OpType::ReplicateBaseDisk;
+            req.host = randomHost();
+            req.datastore = randomDatastore();
+            req.base_disk = rng.bernoulli(0.8) ? base : randomDisk();
+            srv.submit(req);
+            return;
+          }
+          case 22: { // consolidate some VM's newest disk
+            req.type = OpType::ConsolidateDisk;
+            req.host = randomHost();
+            req.base_disk = randomDisk();
+            srv.submit(req);
+            return;
+          }
         }
         req.vm = randomVm();
         srv.submit(req);
+    }
+
+    HostId
+    randomHost()
+    {
+        return hosts[static_cast<std::size_t>(rng.uniformInt(0, 2))];
+    }
+
+    DatastoreId
+    randomDatastore()
+    {
+        return ds[static_cast<std::size_t>(rng.uniformInt(0, 1))];
+    }
+
+    /** The newest disk of a random VM (invalid if it has none). */
+    DiskId
+    randomDisk()
+    {
+        VmId v = randomVm();
+        if (!inv.hasVm(v) || inv.vm(v).disks.empty())
+            return DiskId();
+        return inv.vm(v).disks.back();
     }
 
     Simulator sim;
@@ -314,6 +422,7 @@ class OpFuzzer
     std::vector<VmId> vms;
     VmId tmpl;
     DiskId base;
+    std::uint64_t task_hash = 14695981039346656037ull;
 };
 
 class FuzzTest : public ::testing::TestWithParam<std::uint64_t>
@@ -329,6 +438,16 @@ TEST_P(FuzzTest, InvariantsHoldAfterRandomStorm)
     // entities and lock queues (where destroy-vs-user races live).
     fuzzer.storm(600, minutes(2));
     fuzzer.checkInvariants();
+}
+
+TEST(FuzzDeterminism, SameSeedSameOutcome)
+{
+    auto run = [] {
+        OpFuzzer fuzzer(5);
+        fuzzer.storm(800, hours(1));
+        return fuzzer.outcome();
+    };
+    EXPECT_EQ(run(), run());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest,
