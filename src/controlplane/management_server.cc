@@ -19,14 +19,15 @@ namespace vcp {
  * the failure paths, where provisional inventory records and resource
  * commitments are also rolled back.
  *
- * Rule enforced throughout this file: lambdas capture entity *ids*,
- * never references; entities are re-fetched (and re-checked) after
- * every asynchronous boundary, because the inventory may have changed
- * while the task waited.
+ * Rule enforced throughout this file: the op hooks keep entity *ids*
+ * in the context, never references; entities are re-fetched (and
+ * re-checked) after every asynchronous boundary, because the
+ * inventory may have changed while the task waited.
  *
- * Contexts are pooled (allocCtx()/releaseCtx()) and carry scratch
- * space for the pipeline helpers, so each asynchronous hop captures
- * only {this, ctx} and stays inside InlineAction's inline buffer.
+ * Contexts are pooled (allocCtx()/releaseCtx()) and hold everything
+ * an op carries from one phase to the next, so each asynchronous hop
+ * captures only {this, ctx} and stays inside InlineAction's inline
+ * buffer.
  */
 struct ManagementServer::OpCtx
 {
@@ -54,21 +55,34 @@ struct ManagementServer::OpCtx
     DatastoreId reserved_ds;
     Bytes reserved_bytes = 0;
 
-    /** @{ Pipeline-helper scratch.  The continuation chain of one
-     *  operation is strictly linear, so a single parked continuation
-     *  and one phase timestamp suffice. */
-    InlineAction next;
+    /** @{ Driver state: the phase in flight and when it began. */
+    TaskPhase phase = TaskPhase::Api;
     SimTime phase_start = 0;
-    TaskPhase db_phase = TaskPhase::Db;
     SimDuration agent_service = 0;
-    std::vector<LockRequest> pending_locks;
-    HostId data_host;
-    DatastoreId data_slot_ds;
-    DatastoreId data_src_ds;
-    DatastoreId data_dst_ds;
+    /** @} */
+
+    /** @{ Op scratch, written by the hooks. */
+    std::vector<LockRequest> pending_locks; ///< set by Precheck
+    VmId vm;
+    HostId host; ///< whose agent runs the host step
+    DiskId disk;
+    DiskId parent_disk;
+    std::vector<DiskId> disks; ///< Destroy: the disk set it locked
+    HostStep host_step = HostStep::None;
+    /** @} */
+
+    /**
+     * @{ AgentData step: the datastore whose slot the op holds, and
+     * what to copy.  With src_host set the copy streams host to host
+     * (src_host -> host) over the fabric; otherwise it runs from
+     * src_ds to dst_ds, through the datastore's own pipe when the
+     * two are the same.
+     */
+    DatastoreId slot_ds;
+    DatastoreId src_ds;
+    DatastoreId dst_ds;
+    HostId src_host;
     Bytes data_bytes = 0;
-    HostId data_net_src;
-    HostId data_net_dst;
     /** @} */
 
     /** Return to pool-fresh state (vectors keep their capacity). */
@@ -86,18 +100,21 @@ struct ManagementServer::OpCtx
         created_vms.clear();
         reserved_ds = DatastoreId();
         reserved_bytes = 0;
-        next.reset();
+        phase = TaskPhase::Api;
         phase_start = 0;
-        db_phase = TaskPhase::Db;
         agent_service = 0;
         pending_locks.clear();
-        data_host = HostId();
-        data_slot_ds = DatastoreId();
-        data_src_ds = DatastoreId();
-        data_dst_ds = DatastoreId();
+        vm = VmId();
+        host = HostId();
+        disk = DiskId();
+        parent_disk = DiskId();
+        disks.clear();
+        host_step = HostStep::None;
+        slot_ds = DatastoreId();
+        src_ds = DatastoreId();
+        dst_ds = DatastoreId();
+        src_host = HostId();
         data_bytes = 0;
-        data_net_src = HostId();
-        data_net_dst = HostId();
     }
 };
 
@@ -478,8 +495,9 @@ ManagementServer::datastoreMeanUtilization() const
 }
 
 void
-ManagementServer::tracePhase(CtxPtr ctx, TaskPhase phase)
+ManagementServer::endPhase(CtxPtr ctx, TaskPhase phase)
 {
+    ctx->task->addPhaseTime(phase, sim.now() - ctx->phase_start);
     if (!VCP_TRACER_ON(tracer_))
         return;
     tracer_->recordPhase(static_cast<std::uint8_t>(ctx->task->type()),
@@ -568,20 +586,8 @@ ManagementServer::submit(const OpRequest &req, TaskCallback on_done)
         return id;
     }
 
-    ctx->phase_start = sim.now();
-    api.submit(costs.sampleApi(req.type), [this, ctx]() {
-        ctx->task->addPhaseTime(TaskPhase::Api,
-                                sim.now() - ctx->phase_start);
-        tracePhase(ctx, TaskPhase::Api);
-        sched.enqueue(ctx->task, [this, ctx]() {
-            ctx->task->markStarted(sim.now());
-            if (ctx->task->cancelRequested()) {
-                finish(ctx, TaskError::Cancelled);
-                return;
-            }
-            runTask(ctx);
-        });
-    });
+    startPhase(ctx, TaskPhase::Api);
+    api.submit(costs.sampleApi(req.type), [this, ctx]() { advance(ctx); });
     return id;
 }
 
@@ -676,91 +682,111 @@ ManagementServer::finish(CtxPtr ctx, TaskError err)
         tasks.destroy(tid);
 }
 
+/*
+ * The phase driver.  Every operation runs the same sequence:
+ *
+ *   Api -> Queue -> [Precheck] -> Locks -> [AfterLocks] -> Db
+ *       -> [AfterDb] -> host step -> [AfterHost] -> Finalize -> finish
+ *
+ * ctx->phase names the phase in flight; each asynchronous phase calls
+ * back in here when it completes, and this function closes it, runs
+ * the op's hook for the stage that follows, and starts the next
+ * phase.  A hook that returns an error ends the op: finish() releases
+ * whatever the context holds and rolls back its provisional state.
+ */
 void
-ManagementServer::acquireLocks(CtxPtr ctx,
-                               std::vector<LockRequest> reqs,
-                               InlineAction then)
+ManagementServer::advance(CtxPtr ctx)
 {
-    ctx->next = std::move(then);
-    ctx->phase_start = sim.now();
-    ctx->pending_locks = std::move(reqs);
-    locks.acquireAll(ctx->pending_locks, [this, ctx]() {
+    Task &task = *ctx->task;
+    TaskError err = TaskError::None;
+    switch (ctx->phase) {
+      case TaskPhase::Api:
+        endPhase(ctx, TaskPhase::Api);
+        startPhase(ctx, TaskPhase::Queue);
+        sched.enqueue(ctx->task, [this, ctx]() { advance(ctx); });
+        return;
+      case TaskPhase::Queue:
+        task.markStarted(sim.now());
+        err = task.cancelRequested() ? TaskError::Cancelled
+                                     : runHook(ctx, OpStage::Precheck);
+        if (err != TaskError::None)
+            break;
+        startPhase(ctx, TaskPhase::Locks);
+        locks.acquireAll(ctx->pending_locks,
+                         [this, ctx]() { advance(ctx); });
+        return;
+      case TaskPhase::Locks:
         ctx->held_locks = std::move(ctx->pending_locks);
-        ctx->task->addPhaseTime(TaskPhase::Locks,
-                                sim.now() - ctx->phase_start);
-        tracePhase(ctx, TaskPhase::Locks);
-        InlineAction then = std::move(ctx->next);
-        then();
-    });
+        endPhase(ctx, TaskPhase::Locks);
+        err = runHook(ctx, OpStage::AfterLocks);
+        if (err != TaskError::None)
+            break;
+        startPhase(ctx, TaskPhase::Db);
+        db.runTxns(costs.dbTxns(task.type()),
+                   [this, ctx]() { advance(ctx); });
+        return;
+      case TaskPhase::Db:
+        endPhase(ctx, TaskPhase::Db);
+        err = runHook(ctx, OpStage::AfterDb);
+        if (err != TaskError::None)
+            break;
+        startPhase(ctx, TaskPhase::HostAgent);
+        switch (ctx->host_step) {
+          case HostStep::None:
+            advance(ctx);
+            return;
+          case HostStep::Agent:
+            ctx->agent_service = costs.sampleHost(task.type());
+            hostAgent(ctx->host).execute(ctx->agent_service,
+                                         [this, ctx]() {
+                endPhase(ctx, TaskPhase::HostAgent);
+                traceAgentSplit(ctx, ctx->agent_service);
+                advance(ctx);
+            });
+            return;
+          case HostStep::AgentData:
+            datastoreSlots(ctx->slot_ds)
+                .acquire([this, ctx]() { dataSlotGranted(ctx); });
+            return;
+        }
+        return;
+      case TaskPhase::HostAgent:
+      case TaskPhase::DataCopy: // the host step finished
+        err = runHook(ctx, OpStage::AfterHost);
+        if (err != TaskError::None)
+            break;
+        startPhase(ctx, TaskPhase::Finalize);
+        db.runTxns(costs.finalizeTxns(task.type()),
+                   [this, ctx]() { advance(ctx); });
+        return;
+      case TaskPhase::Finalize:
+        endPhase(ctx, TaskPhase::Finalize);
+        break;
+      case TaskPhase::NumPhases:
+        panic("ManagementServer: op in no phase");
+    }
+    finish(ctx, err);
 }
 
 void
-ManagementServer::runDbPhase(CtxPtr ctx, int txns, TaskPhase phase,
-                             InlineAction then)
+ManagementServer::startPhase(CtxPtr ctx, TaskPhase phase)
 {
-    ctx->next = std::move(then);
+    ctx->phase = phase;
     ctx->phase_start = sim.now();
-    ctx->db_phase = phase;
-    db.runTxns(txns, [this, ctx]() {
-        ctx->task->addPhaseTime(ctx->db_phase,
-                                sim.now() - ctx->phase_start);
-        tracePhase(ctx, ctx->db_phase);
-        InlineAction then = std::move(ctx->next);
-        then();
-    });
-}
-
-void
-ManagementServer::runAgentPhase(CtxPtr ctx, HostId host,
-                                InlineAction then)
-{
-    ctx->next = std::move(then);
-    ctx->phase_start = sim.now();
-    SimDuration service = costs.sampleHost(ctx->task->type());
-    ctx->agent_service = service;
-    hostAgent(host).execute(service, [this, ctx]() {
-        ctx->task->addPhaseTime(TaskPhase::HostAgent,
-                                sim.now() - ctx->phase_start);
-        tracePhase(ctx, TaskPhase::HostAgent);
-        traceAgentSplit(ctx, ctx->agent_service);
-        InlineAction then = std::move(ctx->next);
-        then();
-    });
-}
-
-void
-ManagementServer::runAgentDataPhase(CtxPtr ctx, HostId host,
-                                    DatastoreId slot_ds,
-                                    DatastoreId src_ds,
-                                    DatastoreId dst_ds, Bytes bytes,
-                                    InlineAction then,
-                                    HostId net_src, HostId net_dst)
-{
-    ctx->next = std::move(then);
-    ctx->phase_start = sim.now();
-    ctx->data_host = host;
-    ctx->data_slot_ds = slot_ds;
-    ctx->data_src_ds = src_ds;
-    ctx->data_dst_ds = dst_ds;
-    ctx->data_bytes = bytes;
-    ctx->data_net_src = net_src;
-    ctx->data_net_dst = net_dst;
-    datastoreSlots(slot_ds).acquire(
-        [this, ctx]() { dataSlotGranted(ctx); });
 }
 
 void
 ManagementServer::dataSlotGranted(CtxPtr ctx)
 {
-    ctx->held_ds_slot = &datastoreSlots(ctx->data_slot_ds);
-    hostAgent(ctx->data_host)
+    ctx->held_ds_slot = &datastoreSlots(ctx->slot_ds);
+    hostAgent(ctx->host)
         .acquireSlot([this, ctx]() { dataAgentGranted(ctx); });
 }
 
 void
 ManagementServer::dataAgentGranted(CtxPtr ctx)
 {
-    ctx->held_agent = &hostAgent(ctx->data_host);
+    ctx->held_agent = &hostAgent(ctx->host);
     SimDuration setup = costs.sampleHost(ctx->task->type());
     ctx->agent_service = setup;
     sim.schedule(setup, [this, ctx]() { dataSetupDone(ctx); });
@@ -774,44 +800,40 @@ ManagementServer::dataSetupDone(CtxPtr ctx)
     // datastore slot stay held — the host-side work really is
     // occupying them — and the parked window lands in this op's
     // HostAgent phase time.
-    if (hostAgent(ctx->data_host)
+    if (hostAgent(ctx->host)
             .parkIfDisconnected([this, ctx] { dataSetupDone(ctx); })) {
         return;
     }
-    ctx->task->addPhaseTime(TaskPhase::HostAgent,
-                            sim.now() - ctx->phase_start);
-    tracePhase(ctx, TaskPhase::HostAgent);
+    endPhase(ctx, TaskPhase::HostAgent);
     traceAgentSplit(ctx, ctx->agent_service);
     if (ctx->data_bytes <= 0) {
-        ctx->held_agent->release();
-        ctx->held_agent = nullptr;
-        ctx->held_ds_slot->release();
-        ctx->held_ds_slot = nullptr;
-        InlineAction then = std::move(ctx->next);
-        then();
+        releaseDataSlots(ctx);
+        advance(ctx);
         return;
     }
-    ctx->phase_start = sim.now();
-    if (ctx->data_src_ds == ctx->data_dst_ds) {
-        inv.datastore(ctx->data_dst_ds)
+    startPhase(ctx, TaskPhase::DataCopy);
+    if (!ctx->src_host.valid() && ctx->src_ds == ctx->dst_ds) {
+        inv.datastore(ctx->dst_ds)
             .copyPipe()
             .startTransfer(ctx->data_bytes,
                            [this, ctx]() { dataCopyDone(ctx); });
         return;
     }
-    // Everything else moves over the routed fabric.  Endpoints are
-    // the datastores' bound nodes unless the op pinned hosts (live
-    // migration); the degenerate single-link topology ignores them.
+    // Everything else moves over the routed fabric: between the
+    // datastores' bound nodes, or host to host for a live migration's
+    // memory image.  The degenerate single-link topology ignores the
+    // endpoints.
     Fabric &fab = net.topology();
     FabricNodeId src = kInvalidFabricNode;
     FabricNodeId dst = kInvalidFabricNode;
     if (!fab.degenerate()) {
-        src = ctx->data_net_src.valid()
-                  ? fab.hostNode(ctx->data_net_src)
-                  : fab.datastoreNode(ctx->data_src_ds);
-        dst = ctx->data_net_dst.valid()
-                  ? fab.hostNode(ctx->data_net_dst)
-                  : fab.datastoreNode(ctx->data_dst_ds);
+        if (ctx->src_host.valid()) {
+            src = fab.hostNode(ctx->src_host);
+            dst = fab.hostNode(ctx->host);
+        } else {
+            src = fab.datastoreNode(ctx->src_ds);
+            dst = fab.datastoreNode(ctx->dst_ds);
+        }
     }
     fab.startTransfer(
         src, dst, ctx->data_bytes,
@@ -826,87 +848,75 @@ ManagementServer::dataCopyDone(CtxPtr ctx)
 {
     // Same parking rule as dataSetupDone: a copy that finished
     // against a dark agent cannot report back until reconciliation.
-    if (hostAgent(ctx->data_host)
+    if (hostAgent(ctx->host)
             .parkIfDisconnected([this, ctx] { dataCopyDone(ctx); })) {
         return;
     }
-    ctx->task->addPhaseTime(TaskPhase::DataCopy,
-                            sim.now() - ctx->phase_start);
-    tracePhase(ctx, TaskPhase::DataCopy);
+    endPhase(ctx, TaskPhase::DataCopy);
     bytes_moved += ctx->data_bytes;
     if (!bytes_moved_stat)
         bytes_moved_stat = &stats.counter("cp.bytes_moved");
     bytes_moved_stat->inc(static_cast<std::uint64_t>(ctx->data_bytes));
-    ctx->held_agent->release();
-    ctx->held_agent = nullptr;
-    ctx->held_ds_slot->release();
-    ctx->held_ds_slot = nullptr;
-    InlineAction then = std::move(ctx->next);
-    then();
+    releaseDataSlots(ctx);
+    advance(ctx);
 }
 
 void
 ManagementServer::dataCopyFailed(CtxPtr ctx)
 {
-    ctx->task->addPhaseTime(TaskPhase::DataCopy,
-                            sim.now() - ctx->phase_start);
-    tracePhase(ctx, TaskPhase::DataCopy);
+    endPhase(ctx, TaskPhase::DataCopy);
     // finish() releases the held agent and datastore slot and rolls
     // back the op's provisional records.
     finish(ctx, TaskError::NetworkUnreachable);
 }
 
 void
-ManagementServer::runTask(CtxPtr ctx)
+ManagementServer::releaseDataSlots(CtxPtr ctx)
+{
+    ctx->held_agent->release();
+    ctx->held_agent = nullptr;
+    ctx->held_ds_slot->release();
+    ctx->held_ds_slot = nullptr;
+}
+
+TaskError
+ManagementServer::runHook(CtxPtr ctx, OpStage stage)
 {
     switch (ctx->task->type()) {
       case OpType::PowerOn:
       case OpType::PowerOff:
       case OpType::Suspend:
       case OpType::Reset:
-        execPower(ctx);
-        return;
+        return powerHooks(ctx, stage);
       case OpType::CreateVm:
-        execCreateVm(ctx);
-        return;
+        return createVmHooks(ctx, stage);
       case OpType::CloneFull:
       case OpType::CloneLinked:
-        execClone(ctx);
-        return;
+        return cloneHooks(ctx, stage);
       case OpType::Destroy:
-        execDestroy(ctx);
-        return;
+        return destroyHooks(ctx, stage);
       case OpType::RegisterVm:
       case OpType::UnregisterVm:
-        execRegister(ctx);
-        return;
+        return registerHooks(ctx, stage);
       case OpType::Reconfigure:
-        execReconfigure(ctx);
-        return;
+        return reconfigureHooks(ctx, stage);
       case OpType::Snapshot:
-        execSnapshot(ctx);
-        return;
+        return snapshotHooks(ctx, stage);
       case OpType::RemoveSnapshot:
-        execRemoveSnapshot(ctx);
-        return;
+        return removeSnapshotHooks(ctx, stage);
       case OpType::Relocate:
-        execRelocate(ctx);
-        return;
+        return relocateHooks(ctx, stage);
       case OpType::Migrate:
-        execMigrate(ctx);
-        return;
+        return migrateHooks(ctx, stage);
       case OpType::AddHost:
       case OpType::RemoveHost:
       case OpType::EnterMaintenance:
       case OpType::ExitMaintenance:
-        execHostLifecycle(ctx);
-        return;
+        return hostLifecycleHooks(ctx, stage);
       case OpType::ReplicateBaseDisk:
-        execReplicateBaseDisk(ctx);
-        return;
+        return replicateBaseDiskHooks(ctx, stage);
       case OpType::ConsolidateDisk:
-        execConsolidateDisk(ctx);
-        return;
+        return consolidateDiskHooks(ctx, stage);
       case OpType::NumOpTypes:
         break;
     }
@@ -917,196 +927,146 @@ ManagementServer::runTask(CtxPtr ctx)
  * Power verbs: exclusive VM lock + shared host lock; PowerOn commits
  * host resources before the host agent runs (admission control).
  */
-void
-ManagementServer::execPower(CtxPtr ctx)
+TaskError
+ManagementServer::powerHooks(CtxPtr ctx, OpStage stage)
 {
     const OpRequest &req = ctx->task->request();
     OpType t = req.type;
-
-    if (!inv.hasVm(req.vm)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-    {
+    switch (stage) {
+      case OpStage::Precheck: {
+        if (!inv.hasVm(req.vm))
+            return TaskError::NoSuchEntity;
         Vm &vm = inv.vm(req.vm);
-        if (!vm.host.valid() || vm.is_template) {
-            finish(ctx, TaskError::InvalidState);
-            return;
-        }
+        if (!vm.host.valid() || vm.is_template)
+            return TaskError::InvalidState;
         Host &host = inv.host(vm.host);
         if (!host.connected() ||
-            (t == OpType::PowerOn && host.inMaintenance())) {
-            finish(ctx, TaskError::HostUnavailable);
-            return;
-        }
-    }
-
-    VmId vm_id = req.vm;
-    HostId host_id = inv.vm(vm_id).host;
-    acquireLocks(
-        ctx,
-        {{lockKey(vm_id), LockMode::Exclusive},
-         {lockKey(host_id), LockMode::Shared}},
-        [this, ctx, t, vm_id, host_id]() {
-            // Re-validate: the VM may have been destroyed, moved to
-            // another host (a migrate beat us to the lock), or
-            // changed power state while we waited.  Acting on a
-            // stale host id would release the commitment on the
-            // wrong host.
-            if (!inv.hasVm(vm_id)) {
-                finish(ctx, TaskError::NoSuchEntity);
-                return;
-            }
-            Vm &vm = inv.vm(vm_id);
-            if (vm.host != host_id) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
+            (t == OpType::PowerOn && host.inMaintenance()))
+            return TaskError::HostUnavailable;
+        ctx->vm = req.vm;
+        ctx->host = vm.host;
+        ctx->host_step = HostStep::Agent;
+        ctx->pending_locks = {{lockKey(ctx->vm), LockMode::Exclusive},
+                              {lockKey(ctx->host), LockMode::Shared}};
+        return TaskError::None;
+      }
+      case OpStage::AfterLocks: {
+        // Re-validate: the VM may have been destroyed, moved to
+        // another host (a migrate beat us to the lock), or changed
+        // power state while we waited.  Acting on a stale host id
+        // would release the commitment on the wrong host.
+        if (!inv.hasVm(ctx->vm))
+            return TaskError::NoSuchEntity;
+        Vm &vm = inv.vm(ctx->vm);
+        if (vm.host != ctx->host)
+            return TaskError::InvalidState;
+        if (t == OpType::Reset) {
+            if (vm.powerState() != PowerState::PoweredOn)
+                return TaskError::InvalidState;
+        } else {
             PowerState target = (t == OpType::PowerOn)
                 ? PowerState::PoweringOn
                 : (t == OpType::PowerOff) ? PowerState::PoweringOff
-                : (t == OpType::Suspend) ? PowerState::Suspended
-                : PowerState::PoweredOn /* Reset: stays on */;
-
-            if (t == OpType::Reset) {
-                if (vm.powerState() != PowerState::PoweredOn) {
-                    finish(ctx, TaskError::InvalidState);
-                    return;
-                }
-            } else if (!vm.canTransitionTo(target)) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-
-            if (t == OpType::PowerOn) {
-                Host &host = inv.host(host_id);
-                if (!host.commit(vm.vcpus, vm.memory)) {
-                    finish(ctx, TaskError::PlacementFailed);
-                    return;
-                }
-                ctx->committed_host = host_id;
-                ctx->committed_vcpus = vm.vcpus;
-                ctx->committed_memory = vm.memory;
-                vm.transitionTo(PowerState::PoweringOn);
-            } else if (t == OpType::PowerOff) {
-                vm.transitionTo(PowerState::PoweringOff);
-            }
-
-            runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                       [this, ctx, t, vm_id, host_id]() {
-                runAgentPhase(ctx, host_id, [this, ctx, t, vm_id,
-                                             host_id]() {
-                    Vm &vm = inv.vm(vm_id);
-                    switch (t) {
-                      case OpType::PowerOn:
-                        // A host crash may have forced the VM off
-                        // mid-flight and released the commitment
-                        // already, so the clear must happen on both
-                        // branches; the failed transition then turns
-                        // into a task failure instead of a phantom
-                        // "restarted" success for a VM that is off.
-                        ctx->committed_host = HostId();
-                        if (!vm.transitionTo(PowerState::PoweredOn)) {
-                            finish(ctx, TaskError::InvalidState);
-                            return;
-                        }
-                        break;
-                      case OpType::PowerOff:
-                        // A host crash may have forced the VM off
-                        // (and released its commitment) already; the
-                        // failed transition tells us not to
-                        // double-release.
-                        if (vm.transitionTo(PowerState::PoweredOff)) {
-                            inv.host(host_id).release(vm.vcpus,
-                                                      vm.memory);
-                        }
-                        break;
-                      case OpType::Suspend:
-                        if (vm.transitionTo(PowerState::Suspended)) {
-                            inv.host(host_id).release(vm.vcpus,
-                                                      vm.memory);
-                        }
-                        break;
-                      default:
-                        break; // Reset: no state change
-                    }
-                    runDbPhase(ctx, costs.finalizeTxns(t),
-                               TaskPhase::Finalize, [this, ctx]() {
-                        finish(ctx, TaskError::None);
-                    });
-                });
-            });
-        });
+                : PowerState::Suspended;
+            if (!vm.canTransitionTo(target))
+                return TaskError::InvalidState;
+        }
+        if (t == OpType::PowerOn) {
+            if (!inv.host(ctx->host).commit(vm.vcpus, vm.memory))
+                return TaskError::PlacementFailed;
+            ctx->committed_host = ctx->host;
+            ctx->committed_vcpus = vm.vcpus;
+            ctx->committed_memory = vm.memory;
+            vm.transitionTo(PowerState::PoweringOn);
+        } else if (t == OpType::PowerOff) {
+            vm.transitionTo(PowerState::PoweringOff);
+        }
+        return TaskError::None;
+      }
+      case OpStage::AfterHost: {
+        Vm &vm = inv.vm(ctx->vm);
+        switch (t) {
+          case OpType::PowerOn:
+            // A host crash may have forced the VM off mid-flight and
+            // released the commitment already, so the clear must
+            // happen on both branches; the failed transition then
+            // turns into a task failure instead of a phantom
+            // "restarted" success for a VM that is off.
+            ctx->committed_host = HostId();
+            if (!vm.transitionTo(PowerState::PoweredOn))
+                return TaskError::InvalidState;
+            break;
+          case OpType::PowerOff:
+            // A host crash may have forced the VM off (and released
+            // its commitment) already; the failed transition tells
+            // us not to double-release.
+            if (vm.transitionTo(PowerState::PoweredOff))
+                inv.host(ctx->host).release(vm.vcpus, vm.memory);
+            break;
+          case OpType::Suspend:
+            if (vm.transitionTo(PowerState::Suspended))
+                inv.host(ctx->host).release(vm.vcpus, vm.memory);
+            break;
+          default:
+            break; // Reset: no state change
+        }
+        return TaskError::None;
+      }
+      default:
+        return TaskError::None;
+    }
 }
 
 /*
  * CreateVm: from-scratch creation with a flat disk; shared host and
  * datastore locks; the record is provisional until the task succeeds.
  */
-void
-ManagementServer::execCreateVm(CtxPtr ctx)
+TaskError
+ManagementServer::createVmHooks(CtxPtr ctx, OpStage stage)
 {
     const OpRequest &req = ctx->task->request();
-    if (!inv.hasHost(req.host)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-    {
+    switch (stage) {
+      case OpStage::Precheck: {
+        if (!inv.hasHost(req.host))
+            return TaskError::NoSuchEntity;
         Host &host = inv.host(req.host);
-        if (!host.connected() || host.inMaintenance()) {
-            finish(ctx, TaskError::HostUnavailable);
-            return;
-        }
-        if (!host.hasDatastore(req.datastore)) {
-            finish(ctx, TaskError::BadRequest);
-            return;
-        }
+        if (!host.connected() || host.inMaintenance())
+            return TaskError::HostUnavailable;
+        if (!host.hasDatastore(req.datastore))
+            return TaskError::BadRequest;
+        ctx->host = req.host;
+        ctx->host_step = HostStep::Agent;
+        ctx->pending_locks = {{lockKey(req.host), LockMode::Shared},
+                              {lockKey(req.datastore), LockMode::Shared}};
+        return TaskError::None;
+      }
+      case OpStage::AfterDb: {
+        VmConfig vc;
+        vc.name = req.name;
+        vc.vcpus = req.vcpus;
+        vc.memory = req.memory;
+        vc.tenant = req.tenant;
+        VmId vm_id = inv.createVm(vc);
+        ctx->created_vms.push_back(vm_id);
+
+        DiskConfig dc;
+        dc.kind = DiskKind::Flat;
+        dc.datastore = req.datastore;
+        dc.capacity = req.disk_size;
+        dc.owner = vm_id;
+        DiskId disk = inv.createDisk(dc);
+        if (!disk.valid())
+            return TaskError::OutOfSpace;
+        Vm &vm = inv.vm(vm_id);
+        vm.disks.push_back(disk);
+        vm.host = req.host;
+        inv.host(req.host).registerVm(vm_id);
+        ctx->task->setResultVm(vm_id);
+        return TaskError::None;
+      }
+      default:
+        return TaskError::None;
     }
-
-    acquireLocks(
-        ctx,
-        {{lockKey(req.host), LockMode::Shared},
-         {lockKey(req.datastore), LockMode::Shared}},
-        [this, ctx]() {
-            const OpRequest &req = ctx->task->request();
-            runDbPhase(ctx, costs.dbTxns(req.type), TaskPhase::Db,
-                       [this, ctx]() {
-                const OpRequest &req = ctx->task->request();
-                VmConfig vc;
-                vc.name = req.name;
-                vc.vcpus = req.vcpus;
-                vc.memory = req.memory;
-                vc.tenant = req.tenant;
-                VmId vm_id = inv.createVm(vc);
-                ctx->created_vms.push_back(vm_id);
-
-                DiskConfig dc;
-                dc.kind = DiskKind::Flat;
-                dc.datastore = req.datastore;
-                dc.capacity = req.disk_size;
-                dc.owner = vm_id;
-                DiskId disk = inv.createDisk(dc);
-                if (!disk.valid()) {
-                    finish(ctx, TaskError::OutOfSpace);
-                    return;
-                }
-                Vm &vm = inv.vm(vm_id);
-                vm.disks.push_back(disk);
-                vm.host = req.host;
-                inv.host(req.host).registerVm(vm_id);
-                ctx->task->setResultVm(vm_id);
-
-                runAgentPhase(ctx, req.host, [this, ctx]() {
-                    const OpRequest &req = ctx->task->request();
-                    runDbPhase(ctx, costs.finalizeTxns(req.type),
-                               TaskPhase::Finalize, [this, ctx]() {
-                        // Success: the records are permanent.
-                        ctx->created_vms.clear();
-                        finish(ctx, TaskError::None);
-                    });
-                });
-            });
-        });
 }
 
 /*
@@ -1116,171 +1076,150 @@ ManagementServer::execCreateVm(CtxPtr ctx)
  * pipe, while a linked clone creates only a delta disk backed by a
  * prepared base disk — no bulk data at all.
  */
-void
-ManagementServer::execClone(CtxPtr ctx)
+TaskError
+ManagementServer::cloneHooks(CtxPtr ctx, OpStage stage)
 {
     const OpRequest &req = ctx->task->request();
     OpType t = req.type;
-
-    if (!inv.hasVm(req.vm) || !inv.hasHost(req.host)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-    {
+    switch (stage) {
+      case OpStage::Precheck: {
+        if (!inv.hasVm(req.vm) || !inv.hasHost(req.host))
+            return TaskError::NoSuchEntity;
         Host &host = inv.host(req.host);
-        if (!host.connected() || host.inMaintenance()) {
-            finish(ctx, TaskError::HostUnavailable);
-            return;
+        if (!host.connected() || host.inMaintenance())
+            return TaskError::HostUnavailable;
+        if (!host.hasDatastore(req.datastore))
+            return TaskError::BadRequest;
+        if (t == OpType::CloneLinked) {
+            if (!req.base_disk.valid() || !inv.hasDisk(req.base_disk))
+                return TaskError::BadRequest;
+            const VirtualDisk &base = inv.disk(req.base_disk);
+            if (base.kind != DiskKind::Flat ||
+                base.datastore != req.datastore)
+                return TaskError::BadRequest;
         }
-        if (!host.hasDatastore(req.datastore)) {
-            finish(ctx, TaskError::BadRequest);
-            return;
+        ctx->pending_locks = {{lockKey(req.vm), LockMode::Shared},
+                              {lockKey(req.host), LockMode::Shared},
+                              {lockKey(req.datastore), LockMode::Shared}};
+        if (t == OpType::CloneLinked) {
+            ctx->pending_locks.push_back(
+                {lockKey(req.base_disk), LockMode::Shared});
         }
-    }
-    if (t == OpType::CloneLinked) {
-        if (!req.base_disk.valid() || !inv.hasDisk(req.base_disk)) {
-            finish(ctx, TaskError::BadRequest);
-            return;
-        }
-        const VirtualDisk &base = inv.disk(req.base_disk);
-        if (base.kind != DiskKind::Flat ||
-            base.datastore != req.datastore) {
-            finish(ctx, TaskError::BadRequest);
-            return;
-        }
-    }
-
-    std::vector<LockRequest> lock_reqs = {
-        {lockKey(req.vm), LockMode::Shared},
-        {lockKey(req.host), LockMode::Shared},
-        {lockKey(req.datastore), LockMode::Shared},
-    };
-    if (t == OpType::CloneLinked)
-        lock_reqs.push_back({lockKey(req.base_disk), LockMode::Shared});
-
-    acquireLocks(ctx, std::move(lock_reqs), [this, ctx, t]() {
+        return TaskError::None;
+      }
+      case OpStage::AfterLocks:
         // The source (and base) may have been destroyed while we
         // waited; once the shared locks are held they are safe.
-        const OpRequest &req0 = ctx->task->request();
-        if (!inv.hasVm(req0.vm) ||
-            (t == OpType::CloneLinked &&
-             !inv.hasDisk(req0.base_disk))) {
-            finish(ctx, TaskError::NoSuchEntity);
-            return;
+        if (!inv.hasVm(req.vm) ||
+            (t == OpType::CloneLinked && !inv.hasDisk(req.base_disk)))
+            return TaskError::NoSuchEntity;
+        return TaskError::None;
+      case OpStage::AfterDb: {
+        const Vm &src = inv.vm(req.vm);
+
+        // Shape is inherited from the source.
+        VmConfig vc;
+        vc.name = req.name;
+        vc.vcpus = src.vcpus;
+        vc.memory = src.memory;
+        vc.tenant = req.tenant;
+        VmId vm_id = inv.createVm(vc);
+        ctx->created_vms.push_back(vm_id);
+
+        Bytes copy_bytes = 0;
+        DatastoreId src_ds = req.datastore;
+        DiskId new_disk;
+        if (t == OpType::CloneFull) {
+            Bytes total_cap = 0;
+            for (DiskId d : src.disks) {
+                const VirtualDisk &sd = inv.disk(d);
+                total_cap += sd.capacity;
+                copy_bytes += sd.allocated;
+                src_ds = sd.datastore;
+            }
+            if (src.disks.empty()) {
+                total_cap = req.disk_size;
+                copy_bytes = req.disk_size;
+            }
+            DiskConfig dc;
+            dc.kind = DiskKind::Flat;
+            dc.datastore = req.datastore;
+            dc.capacity = total_cap;
+            dc.owner = vm_id;
+            new_disk = inv.createDisk(dc);
+        } else {
+            const VirtualDisk &base = inv.disk(req.base_disk);
+            DiskConfig dc;
+            dc.kind = DiskKind::LinkedCloneDelta;
+            dc.datastore = req.datastore;
+            dc.capacity = base.capacity;
+            dc.initial_allocation =
+                costs.linkedDeltaAllocation(base.capacity);
+            dc.parent = req.base_disk;
+            dc.owner = vm_id;
+            new_disk = inv.createDisk(dc);
         }
-        runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                   [this, ctx, t]() {
-            const OpRequest &req = ctx->task->request();
-            const Vm &src = inv.vm(req.vm);
+        if (!new_disk.valid())
+            return TaskError::OutOfSpace;
+        Vm &vm = inv.vm(vm_id);
+        vm.disks.push_back(new_disk);
+        vm.host = req.host;
+        inv.host(req.host).registerVm(vm_id);
+        ctx->task->setResultVm(vm_id);
 
-            // Shape is inherited from the source.
-            VmConfig vc;
-            vc.name = req.name;
-            vc.vcpus = src.vcpus;
-            vc.memory = src.memory;
-            vc.tenant = req.tenant;
-            VmId vm_id = inv.createVm(vc);
-            ctx->created_vms.push_back(vm_id);
-
-            Bytes copy_bytes = 0;
-            DatastoreId src_ds = req.datastore;
-            DiskId new_disk;
-            if (t == OpType::CloneFull) {
-                Bytes total_cap = 0;
-                for (DiskId d : src.disks) {
-                    const VirtualDisk &sd = inv.disk(d);
-                    total_cap += sd.capacity;
-                    copy_bytes += sd.allocated;
-                    src_ds = sd.datastore;
-                }
-                if (src.disks.empty()) {
-                    total_cap = req.disk_size;
-                    copy_bytes = req.disk_size;
-                }
-                DiskConfig dc;
-                dc.kind = DiskKind::Flat;
-                dc.datastore = req.datastore;
-                dc.capacity = total_cap;
-                dc.owner = vm_id;
-                new_disk = inv.createDisk(dc);
-            } else {
-                const VirtualDisk &base = inv.disk(req.base_disk);
-                DiskConfig dc;
-                dc.kind = DiskKind::LinkedCloneDelta;
-                dc.datastore = req.datastore;
-                dc.capacity = base.capacity;
-                dc.initial_allocation =
-                    costs.linkedDeltaAllocation(base.capacity);
-                dc.parent = req.base_disk;
-                dc.owner = vm_id;
-                new_disk = inv.createDisk(dc);
-            }
-            if (!new_disk.valid()) {
-                finish(ctx, TaskError::OutOfSpace);
-                return;
-            }
-            Vm &vm = inv.vm(vm_id);
-            vm.disks.push_back(new_disk);
-            vm.host = req.host;
-            inv.host(req.host).registerVm(vm_id);
-            ctx->task->setResultVm(vm_id);
-
-            runAgentDataPhase(
-                ctx, req.host, req.datastore, src_ds, req.datastore,
-                copy_bytes, [this, ctx, t]() {
-                    runDbPhase(ctx, costs.finalizeTxns(t),
-                               TaskPhase::Finalize, [this, ctx]() {
-                        ctx->created_vms.clear();
-                        finish(ctx, TaskError::None);
-                    });
-                });
-        });
-    });
+        ctx->host = req.host;
+        ctx->host_step = HostStep::AgentData;
+        ctx->slot_ds = req.datastore;
+        ctx->src_ds = src_ds;
+        ctx->dst_ds = req.datastore;
+        ctx->data_bytes = copy_bytes;
+        return TaskError::None;
+      }
+      default:
+        return TaskError::None;
+    }
 }
 
 /*
  * Destroy: exclusive VM lock; the VM must be powered off and its
- * disks must not back any linked clones.
+ * disks must not back any linked clones.  A VM registered on no host
+ * skips the host step.
  */
-void
-ManagementServer::execDestroy(CtxPtr ctx)
+TaskError
+ManagementServer::destroyHooks(CtxPtr ctx, OpStage stage)
 {
     const OpRequest &req = ctx->task->request();
-    if (!inv.hasVm(req.vm)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-    VmId vm_id = req.vm;
-    HostId host_id = inv.vm(vm_id).host;
-
-    // Lock the VM's disks exclusively too: replication and
-    // consolidation hold shared disk locks, and deleting a disk out
-    // from under them would corrupt their copies.
-    std::vector<DiskId> disk_set = inv.vm(vm_id).disks;
-    std::vector<LockRequest> lock_reqs = {
-        {lockKey(vm_id), LockMode::Exclusive}};
-    if (host_id.valid())
-        lock_reqs.push_back({lockKey(host_id), LockMode::Shared});
-    for (DiskId d : disk_set)
-        lock_reqs.push_back({lockKey(d), LockMode::Exclusive});
-
-    acquireLocks(ctx, std::move(lock_reqs), [this, ctx, vm_id,
-                                             host_id, disk_set]() {
+    switch (stage) {
+      case OpStage::Precheck: {
+        if (!inv.hasVm(req.vm))
+            return TaskError::NoSuchEntity;
+        ctx->vm = req.vm;
+        ctx->host = inv.vm(req.vm).host;
+        ctx->host_step =
+            ctx->host.valid() ? HostStep::Agent : HostStep::None;
+        // Lock the VM's disks exclusively too: replication and
+        // consolidation hold shared disk locks, and deleting a disk
+        // out from under them would corrupt their copies.
+        ctx->disks = inv.vm(req.vm).disks;
+        ctx->pending_locks = {{lockKey(ctx->vm), LockMode::Exclusive}};
+        if (ctx->host.valid()) {
+            ctx->pending_locks.push_back(
+                {lockKey(ctx->host), LockMode::Shared});
+        }
+        for (DiskId d : ctx->disks)
+            ctx->pending_locks.push_back({lockKey(d), LockMode::Exclusive});
+        return TaskError::None;
+      }
+      case OpStage::AfterLocks: {
         // The VM (or its disk list) may have changed while waiting;
         // the lock set would no longer match, so bail out.
-        if (!inv.hasVm(vm_id)) {
-            finish(ctx, TaskError::NoSuchEntity);
-            return;
-        }
-        Vm &vm = inv.vm(vm_id);
-        if (vm.disks != disk_set || vm.host != host_id) {
-            finish(ctx, TaskError::InvalidState);
-            return;
-        }
-        if (vm.powerState() != PowerState::PoweredOff) {
-            finish(ctx, TaskError::InvalidState);
-            return;
-        }
+        if (!inv.hasVm(ctx->vm))
+            return TaskError::NoSuchEntity;
+        Vm &vm = inv.vm(ctx->vm);
+        if (vm.disks != ctx->disks || vm.host != ctx->host)
+            return TaskError::InvalidState;
+        if (vm.powerState() != PowerState::PoweredOff)
+            return TaskError::InvalidState;
         // References from the VM's own snapshot chain are fine (the
         // destroy tears the chain down); only external linked-clone
         // children block it.
@@ -1290,319 +1229,236 @@ ManagementServer::execDestroy(CtxPtr ctx)
                 if (inv.disk(other).parent == d)
                     ++refs_within_vm;
             }
-            if (inv.disk(d).ref_count > refs_within_vm) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
+            if (inv.disk(d).ref_count > refs_within_vm)
+                return TaskError::InvalidState;
         }
-        OpType t = ctx->task->type();
-        runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                   [this, ctx, t, vm_id, host_id]() {
-            auto destroy_records = [this, ctx, t, vm_id, host_id]() {
-                Vm &vm = inv.vm(vm_id);
-                if (host_id.valid()) {
-                    inv.host(host_id).unregisterVm(vm_id);
-                    vm.host = HostId();
-                }
-                if (!inv.destroyVm(vm_id)) {
-                    finish(ctx, TaskError::InvalidState);
-                    return;
-                }
-                runDbPhase(ctx, costs.finalizeTxns(t),
-                           TaskPhase::Finalize, [this, ctx]() {
-                    finish(ctx, TaskError::None);
-                });
-            };
-            if (host_id.valid()) {
-                runAgentPhase(ctx, host_id, destroy_records);
-            } else {
-                destroy_records();
-            }
-        });
-    });
+        return TaskError::None;
+      }
+      case OpStage::AfterHost: {
+        Vm &vm = inv.vm(ctx->vm);
+        if (ctx->host.valid()) {
+            inv.host(ctx->host).unregisterVm(ctx->vm);
+            vm.host = HostId();
+        }
+        if (!inv.destroyVm(ctx->vm))
+            return TaskError::InvalidState;
+        return TaskError::None;
+      }
+      default:
+        return TaskError::None;
+    }
 }
 
 /*
  * RegisterVm / UnregisterVm: light record operations.
  */
-void
-ManagementServer::execRegister(CtxPtr ctx)
+TaskError
+ManagementServer::registerHooks(CtxPtr ctx, OpStage stage)
 {
     const OpRequest &req = ctx->task->request();
     OpType t = req.type;
-    if (!inv.hasVm(req.vm)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-
-    if (t == OpType::RegisterVm) {
-        if (!inv.hasHost(req.host)) {
-            finish(ctx, TaskError::NoSuchEntity);
-            return;
-        }
-        Host &host = inv.host(req.host);
-        if (!host.connected() || host.inMaintenance()) {
-            finish(ctx, TaskError::HostUnavailable);
-            return;
-        }
-    }
-
-    VmId vm_id = req.vm;
-    HostId host_id = (t == OpType::RegisterVm) ? req.host
-                                               : inv.vm(vm_id).host;
-    if (!host_id.valid()) {
-        // Unregistering a VM that is registered nowhere.
-        finish(ctx, TaskError::InvalidState);
-        return;
-    }
-    std::vector<LockRequest> lock_reqs = {
-        {lockKey(vm_id), LockMode::Exclusive}};
-    if (host_id.valid())
-        lock_reqs.push_back({lockKey(host_id), LockMode::Shared});
-
-    acquireLocks(ctx, std::move(lock_reqs), [this, ctx, t, vm_id,
-                                             host_id]() {
-        if (!inv.hasVm(vm_id)) {
-            finish(ctx, TaskError::NoSuchEntity);
-            return;
-        }
-        Vm &vm = inv.vm(vm_id);
+    switch (stage) {
+      case OpStage::Precheck: {
+        if (!inv.hasVm(req.vm))
+            return TaskError::NoSuchEntity;
         if (t == OpType::RegisterVm) {
-            if (vm.host.valid()) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-        } else {
-            if (vm.host != host_id ||
-                vm.powerState() != PowerState::PoweredOff) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
+            if (!inv.hasHost(req.host))
+                return TaskError::NoSuchEntity;
+            Host &host = inv.host(req.host);
+            if (!host.connected() || host.inMaintenance())
+                return TaskError::HostUnavailable;
         }
-        runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                   [this, ctx, t, vm_id, host_id]() {
-            auto apply = [this, ctx, t, vm_id, host_id]() {
-                Vm &vm = inv.vm(vm_id);
-                if (t == OpType::RegisterVm) {
-                    vm.host = host_id;
-                    inv.host(host_id).registerVm(vm_id);
-                } else {
-                    inv.host(vm.host).unregisterVm(vm_id);
-                    vm.host = HostId();
-                }
-                runDbPhase(ctx, costs.finalizeTxns(t),
-                           TaskPhase::Finalize, [this, ctx]() {
-                    finish(ctx, TaskError::None);
-                });
-            };
-            if (host_id.valid()) {
-                runAgentPhase(ctx, host_id, apply);
-            } else {
-                apply();
-            }
-        });
-    });
+        ctx->vm = req.vm;
+        ctx->host =
+            (t == OpType::RegisterVm) ? req.host : inv.vm(req.vm).host;
+        // Unregistering a VM that is registered nowhere.
+        if (!ctx->host.valid())
+            return TaskError::InvalidState;
+        ctx->host_step = HostStep::Agent;
+        ctx->pending_locks = {{lockKey(ctx->vm), LockMode::Exclusive},
+                              {lockKey(ctx->host), LockMode::Shared}};
+        return TaskError::None;
+      }
+      case OpStage::AfterLocks: {
+        if (!inv.hasVm(ctx->vm))
+            return TaskError::NoSuchEntity;
+        Vm &vm = inv.vm(ctx->vm);
+        if (t == OpType::RegisterVm) {
+            if (vm.host.valid())
+                return TaskError::InvalidState;
+        } else if (vm.host != ctx->host ||
+                   vm.powerState() != PowerState::PoweredOff) {
+            return TaskError::InvalidState;
+        }
+        return TaskError::None;
+      }
+      case OpStage::AfterHost: {
+        Vm &vm = inv.vm(ctx->vm);
+        if (t == OpType::RegisterVm) {
+            vm.host = ctx->host;
+            inv.host(ctx->host).registerVm(ctx->vm);
+        } else {
+            inv.host(vm.host).unregisterVm(ctx->vm);
+            vm.host = HostId();
+        }
+        return TaskError::None;
+      }
+      default:
+        return TaskError::None;
+    }
 }
 
 /*
  * Reconfigure: change a VM's shape.  A powered-on VM re-passes host
- * admission with its new shape.
+ * admission with its new shape.  A VM registered on no host skips the
+ * host step.
  */
-void
-ManagementServer::execReconfigure(CtxPtr ctx)
+TaskError
+ManagementServer::reconfigureHooks(CtxPtr ctx, OpStage stage)
 {
     const OpRequest &req = ctx->task->request();
-    if (!inv.hasVm(req.vm)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-    VmId vm_id = req.vm;
-    HostId host_id = inv.vm(vm_id).host;
-
-    std::vector<LockRequest> lock_reqs = {
-        {lockKey(vm_id), LockMode::Exclusive}};
-    if (host_id.valid())
-        lock_reqs.push_back({lockKey(host_id), LockMode::Shared});
-
-    acquireLocks(ctx, std::move(lock_reqs), [this, ctx, vm_id,
-                                             host_id]() {
-        if (!inv.hasVm(vm_id)) {
-            finish(ctx, TaskError::NoSuchEntity);
-            return;
+    switch (stage) {
+      case OpStage::Precheck:
+        if (!inv.hasVm(req.vm))
+            return TaskError::NoSuchEntity;
+        ctx->vm = req.vm;
+        ctx->host = inv.vm(req.vm).host;
+        ctx->host_step =
+            ctx->host.valid() ? HostStep::Agent : HostStep::None;
+        ctx->pending_locks = {{lockKey(ctx->vm), LockMode::Exclusive}};
+        if (ctx->host.valid()) {
+            ctx->pending_locks.push_back(
+                {lockKey(ctx->host), LockMode::Shared});
         }
-        if (inv.vm(vm_id).host != host_id) {
-            // Moved (or [un]registered) while we waited; the locked
-            // host no longer matches.
-            finish(ctx, TaskError::InvalidState);
-            return;
-        }
-        OpType t = ctx->task->type();
-        runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                   [this, ctx, t, vm_id, host_id]() {
-            auto apply = [this, ctx, t, vm_id, host_id]() {
-                const OpRequest &req = ctx->task->request();
-                Vm &vm = inv.vm(vm_id);
-                if (vm.powerState() == PowerState::PoweredOn) {
-                    Host &host = inv.host(host_id);
-                    host.release(vm.vcpus, vm.memory);
-                    if (!host.commit(req.vcpus, req.memory)) {
-                        // Restore the old commitment (always fits).
-                        if (!host.commit(vm.vcpus, vm.memory))
-                            panic("Reconfigure: restore failed");
-                        finish(ctx, TaskError::PlacementFailed);
-                        return;
-                    }
-                }
-                vm.vcpus = req.vcpus;
-                vm.memory = req.memory;
-                runDbPhase(ctx, costs.finalizeTxns(t),
-                           TaskPhase::Finalize, [this, ctx]() {
-                    finish(ctx, TaskError::None);
-                });
-            };
-            if (host_id.valid()) {
-                runAgentPhase(ctx, host_id, apply);
-            } else {
-                apply();
+        return TaskError::None;
+      case OpStage::AfterLocks:
+        if (!inv.hasVm(ctx->vm))
+            return TaskError::NoSuchEntity;
+        // Moved (or [un]registered) while we waited; the locked host
+        // no longer matches.
+        if (inv.vm(ctx->vm).host != ctx->host)
+            return TaskError::InvalidState;
+        return TaskError::None;
+      case OpStage::AfterHost: {
+        Vm &vm = inv.vm(ctx->vm);
+        if (vm.powerState() == PowerState::PoweredOn) {
+            Host &host = inv.host(ctx->host);
+            host.release(vm.vcpus, vm.memory);
+            if (!host.commit(req.vcpus, req.memory)) {
+                // Restore the old commitment (always fits).
+                if (!host.commit(vm.vcpus, vm.memory))
+                    panic("Reconfigure: restore failed");
+                return TaskError::PlacementFailed;
             }
-        });
-    });
+        }
+        vm.vcpus = req.vcpus;
+        vm.memory = req.memory;
+        return TaskError::None;
+      }
+      default:
+        return TaskError::None;
+    }
 }
 
 /*
  * Snapshot: appends a copy-on-write delta to the VM's disk chain.
  */
-void
-ManagementServer::execSnapshot(CtxPtr ctx)
+TaskError
+ManagementServer::snapshotHooks(CtxPtr ctx, OpStage stage)
 {
     const OpRequest &req = ctx->task->request();
-    if (!inv.hasVm(req.vm)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
+    switch (stage) {
+      case OpStage::Precheck:
+        if (!inv.hasVm(req.vm))
+            return TaskError::NoSuchEntity;
+        ctx->vm = req.vm;
+        ctx->host = inv.vm(req.vm).host;
+        if (!ctx->host.valid() || inv.vm(req.vm).disks.empty())
+            return TaskError::InvalidState;
+        ctx->host_step = HostStep::Agent;
+        ctx->pending_locks = {{lockKey(ctx->vm), LockMode::Exclusive},
+                              {lockKey(ctx->host), LockMode::Shared}};
+        return TaskError::None;
+      case OpStage::AfterLocks:
+        if (!inv.hasVm(ctx->vm) || inv.vm(ctx->vm).disks.empty())
+            return TaskError::NoSuchEntity;
+        if (inv.vm(ctx->vm).host != ctx->host)
+            return TaskError::InvalidState;
+        return TaskError::None;
+      case OpStage::AfterHost: {
+        Vm &vm = inv.vm(ctx->vm);
+        DiskId tip = vm.disks.back();
+        const VirtualDisk &tip_disk = inv.disk(tip);
+        DiskConfig dc;
+        dc.kind = DiskKind::SnapshotDelta;
+        dc.datastore = tip_disk.datastore;
+        dc.capacity = tip_disk.capacity;
+        dc.initial_allocation =
+            costs.linkedDeltaAllocation(tip_disk.capacity);
+        dc.parent = tip;
+        dc.owner = ctx->vm;
+        DiskId delta = inv.createDisk(dc);
+        if (!delta.valid())
+            return TaskError::OutOfSpace;
+        vm.disks.push_back(delta);
+        return TaskError::None;
+      }
+      default:
+        return TaskError::None;
     }
-    VmId vm_id = req.vm;
-    HostId host_id = inv.vm(vm_id).host;
-    if (!host_id.valid() || inv.vm(vm_id).disks.empty()) {
-        finish(ctx, TaskError::InvalidState);
-        return;
-    }
-
-    acquireLocks(
-        ctx,
-        {{lockKey(vm_id), LockMode::Exclusive},
-         {lockKey(host_id), LockMode::Shared}},
-        [this, ctx, vm_id, host_id]() {
-            if (!inv.hasVm(vm_id) || inv.vm(vm_id).disks.empty()) {
-                finish(ctx, TaskError::NoSuchEntity);
-                return;
-            }
-            if (inv.vm(vm_id).host != host_id) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            OpType t = ctx->task->type();
-            runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                       [this, ctx, t, vm_id, host_id]() {
-                runAgentPhase(ctx, host_id, [this, ctx, t, vm_id]() {
-                    Vm &vm = inv.vm(vm_id);
-                    DiskId tip = vm.disks.back();
-                    const VirtualDisk &tip_disk = inv.disk(tip);
-                    DiskConfig dc;
-                    dc.kind = DiskKind::SnapshotDelta;
-                    dc.datastore = tip_disk.datastore;
-                    dc.capacity = tip_disk.capacity;
-                    dc.initial_allocation =
-                        costs.linkedDeltaAllocation(tip_disk.capacity);
-                    dc.parent = tip;
-                    dc.owner = vm_id;
-                    DiskId delta = inv.createDisk(dc);
-                    if (!delta.valid()) {
-                        finish(ctx, TaskError::OutOfSpace);
-                        return;
-                    }
-                    vm.disks.push_back(delta);
-                    runDbPhase(ctx, costs.finalizeTxns(t),
-                               TaskPhase::Finalize, [this, ctx]() {
-                        finish(ctx, TaskError::None);
-                    });
-                });
-            });
-        });
 }
 
 /*
  * RemoveSnapshot: consolidates the newest snapshot delta back into
  * its parent (a data-moving operation on the datastore pipe).
  */
-void
-ManagementServer::execRemoveSnapshot(CtxPtr ctx)
+TaskError
+ManagementServer::removeSnapshotHooks(CtxPtr ctx, OpStage stage)
 {
     const OpRequest &req = ctx->task->request();
-    if (!inv.hasVm(req.vm)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
+    switch (stage) {
+      case OpStage::Precheck:
+        if (!inv.hasVm(req.vm))
+            return TaskError::NoSuchEntity;
+        ctx->vm = req.vm;
+        ctx->host = inv.vm(req.vm).host;
+        if (!ctx->host.valid() || inv.vm(req.vm).disks.empty())
+            return TaskError::InvalidState;
+        // Lock the delta being consolidated too, so concurrent disk
+        // operations (consolidate) cannot race its destruction.
+        ctx->disk = inv.vm(req.vm).disks.back();
+        ctx->pending_locks = {{lockKey(ctx->vm), LockMode::Exclusive},
+                              {lockKey(ctx->host), LockMode::Shared},
+                              {lockKey(ctx->disk), LockMode::Exclusive}};
+        return TaskError::None;
+      case OpStage::AfterLocks: {
+        // The chain may have changed while waiting; the locked tip
+        // must still be the newest disk.
+        if (!inv.hasVm(ctx->vm))
+            return TaskError::NoSuchEntity;
+        Vm &vm = inv.vm(ctx->vm);
+        if (vm.host != ctx->host)
+            return TaskError::InvalidState;
+        if (vm.disks.empty() || vm.disks.back() != ctx->disk ||
+            inv.disk(ctx->disk).kind != DiskKind::SnapshotDelta ||
+            inv.disk(ctx->disk).ref_count > 0)
+            return TaskError::InvalidState;
+        const VirtualDisk &dd = inv.disk(ctx->disk);
+        ctx->host_step = HostStep::AgentData;
+        ctx->slot_ds = dd.datastore;
+        ctx->src_ds = dd.datastore;
+        ctx->dst_ds = dd.datastore;
+        ctx->data_bytes = dd.allocated;
+        return TaskError::None;
+      }
+      case OpStage::AfterHost:
+        inv.vm(ctx->vm).disks.pop_back();
+        if (!inv.destroyDisk(ctx->disk))
+            panic("RemoveSnapshot: destroy failed");
+        return TaskError::None;
+      default:
+        return TaskError::None;
     }
-    VmId vm_id = req.vm;
-    HostId host_id = inv.vm(vm_id).host;
-    if (!host_id.valid()) {
-        finish(ctx, TaskError::InvalidState);
-        return;
-    }
-    if (inv.vm(vm_id).disks.empty()) {
-        finish(ctx, TaskError::InvalidState);
-        return;
-    }
-    // Lock the delta being consolidated too, so concurrent disk
-    // operations (consolidate) cannot race its destruction.
-    DiskId tip = inv.vm(vm_id).disks.back();
-
-    acquireLocks(
-        ctx,
-        {{lockKey(vm_id), LockMode::Exclusive},
-         {lockKey(host_id), LockMode::Shared},
-         {lockKey(tip), LockMode::Exclusive}},
-        [this, ctx, vm_id, host_id, tip]() {
-            // The chain may have changed while waiting; the locked
-            // tip must still be the newest disk.
-            if (!inv.hasVm(vm_id)) {
-                finish(ctx, TaskError::NoSuchEntity);
-                return;
-            }
-            Vm &vm = inv.vm(vm_id);
-            if (vm.host != host_id) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            if (vm.disks.empty() || vm.disks.back() != tip ||
-                inv.disk(vm.disks.back()).kind !=
-                    DiskKind::SnapshotDelta ||
-                inv.disk(vm.disks.back()).ref_count > 0) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            DiskId delta = vm.disks.back();
-            const VirtualDisk &dd = inv.disk(delta);
-            DatastoreId ds = dd.datastore;
-            Bytes bytes = dd.allocated;
-            OpType t = ctx->task->type();
-            runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                       [this, ctx, t, vm_id, host_id, delta, ds,
-                        bytes]() {
-                runAgentDataPhase(
-                    ctx, host_id, ds, ds, ds, bytes,
-                    [this, ctx, t, vm_id, delta]() {
-                        Vm &vm = inv.vm(vm_id);
-                        vm.disks.pop_back();
-                        if (!inv.destroyDisk(delta))
-                            panic("RemoveSnapshot: destroy failed");
-                        runDbPhase(ctx, costs.finalizeTxns(t),
-                                   TaskPhase::Finalize,
-                                   [this, ctx]() {
-                            finish(ctx, TaskError::None);
-                        });
-                    });
-            });
-        });
 }
 
 /*
@@ -1610,198 +1466,146 @@ ManagementServer::execRemoveSnapshot(CtxPtr ctx)
  * datastore.  Linked-clone VMs must be consolidated first (their
  * delta depends on a base disk that stays behind).
  */
-void
-ManagementServer::execRelocate(CtxPtr ctx)
+TaskError
+ManagementServer::relocateHooks(CtxPtr ctx, OpStage stage)
 {
     const OpRequest &req = ctx->task->request();
-    if (!inv.hasVm(req.vm)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-    VmId vm_id = req.vm;
-    Vm &vm0 = inv.vm(vm_id);
-    HostId host_id = vm0.host;
-    if (!host_id.valid() ||
-        vm0.powerState() != PowerState::PoweredOff) {
-        finish(ctx, TaskError::InvalidState);
-        return;
-    }
-    for (DiskId d : vm0.disks) {
-        if (inv.disk(d).isDelta() || inv.disk(d).ref_count > 0) {
-            finish(ctx, TaskError::InvalidState);
-            return;
+    switch (stage) {
+      case OpStage::Precheck: {
+        if (!inv.hasVm(req.vm))
+            return TaskError::NoSuchEntity;
+        Vm &vm = inv.vm(req.vm);
+        if (!vm.host.valid() ||
+            vm.powerState() != PowerState::PoweredOff)
+            return TaskError::InvalidState;
+        for (DiskId d : vm.disks) {
+            if (inv.disk(d).isDelta() || inv.disk(d).ref_count > 0)
+                return TaskError::InvalidState;
         }
+        if (vm.disks.empty())
+            return TaskError::InvalidState;
+        DatastoreId src = inv.disk(vm.disks.front()).datastore;
+        if (src == req.datastore)
+            return TaskError::BadRequest;
+        if (!inv.host(vm.host).hasDatastore(req.datastore))
+            return TaskError::BadRequest;
+        ctx->vm = req.vm;
+        ctx->host = vm.host;
+        ctx->src_ds = src;
+        ctx->dst_ds = req.datastore;
+        ctx->pending_locks = {{lockKey(ctx->vm), LockMode::Exclusive},
+                              {lockKey(ctx->src_ds), LockMode::Shared},
+                              {lockKey(ctx->dst_ds), LockMode::Shared}};
+        return TaskError::None;
+      }
+      case OpStage::AfterLocks: {
+        if (!inv.hasVm(ctx->vm))
+            return TaskError::NoSuchEntity;
+        Vm &vm = inv.vm(ctx->vm);
+        if (vm.host != ctx->host ||
+            vm.powerState() != PowerState::PoweredOff ||
+            vm.disks.empty() ||
+            inv.disk(vm.disks.front()).datastore != ctx->src_ds)
+            return TaskError::InvalidState;
+        Bytes total = 0;
+        for (DiskId d : vm.disks)
+            total += inv.disk(d).allocated;
+        if (!inv.datastore(ctx->dst_ds).reserve(total))
+            return TaskError::OutOfSpace;
+        ctx->reserved_ds = ctx->dst_ds;
+        ctx->reserved_bytes = total;
+        ctx->host_step = HostStep::AgentData;
+        ctx->slot_ds = ctx->dst_ds;
+        ctx->data_bytes = total;
+        return TaskError::None;
+      }
+      case OpStage::AfterHost:
+        for (DiskId did : inv.vm(ctx->vm).disks) {
+            VirtualDisk &d = inv.disk(did);
+            inv.datastore(d.datastore).release(d.allocated);
+            d.datastore = ctx->dst_ds;
+        }
+        // The raw reservation is now owned by the relocated disk
+        // records.
+        ctx->reserved_bytes = 0;
+        ctx->reserved_ds = DatastoreId();
+        return TaskError::None;
+      default:
+        return TaskError::None;
     }
-    if (vm0.disks.empty()) {
-        finish(ctx, TaskError::InvalidState);
-        return;
-    }
-    DatastoreId dst = req.datastore;
-    DatastoreId src = inv.disk(vm0.disks.front()).datastore;
-    if (src == dst) {
-        finish(ctx, TaskError::BadRequest);
-        return;
-    }
-    if (!inv.host(host_id).hasDatastore(dst)) {
-        finish(ctx, TaskError::BadRequest);
-        return;
-    }
-
-    acquireLocks(
-        ctx,
-        {{lockKey(vm_id), LockMode::Exclusive},
-         {lockKey(src), LockMode::Shared},
-         {lockKey(dst), LockMode::Shared}},
-        [this, ctx, vm_id, host_id, src, dst]() {
-            if (!inv.hasVm(vm_id)) {
-                finish(ctx, TaskError::NoSuchEntity);
-                return;
-            }
-            Vm &vm = inv.vm(vm_id);
-            if (vm.host != host_id ||
-                vm.powerState() != PowerState::PoweredOff ||
-                vm.disks.empty() ||
-                inv.disk(vm.disks.front()).datastore != src) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            Bytes total = 0;
-            for (DiskId d : vm.disks)
-                total += inv.disk(d).allocated;
-            if (!inv.datastore(dst).reserve(total)) {
-                finish(ctx, TaskError::OutOfSpace);
-                return;
-            }
-            ctx->reserved_ds = dst;
-            ctx->reserved_bytes = total;
-
-            OpType t = ctx->task->type();
-            runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                       [this, ctx, t, vm_id, host_id, src, dst,
-                        total]() {
-                runAgentDataPhase(
-                    ctx, host_id, dst, src, dst, total,
-                    [this, ctx, t, vm_id, dst]() {
-                        Vm &vm = inv.vm(vm_id);
-                        for (DiskId did : vm.disks) {
-                            VirtualDisk &d = inv.disk(did);
-                            inv.datastore(d.datastore)
-                                .release(d.allocated);
-                            d.datastore = dst;
-                        }
-                        // The raw reservation is now owned by the
-                        // relocated disk records.
-                        ctx->reserved_bytes = 0;
-                        ctx->reserved_ds = DatastoreId();
-                        runDbPhase(ctx, costs.finalizeTxns(t),
-                                   TaskPhase::Finalize,
-                                   [this, ctx]() {
-                            finish(ctx, TaskError::None);
-                        });
-                    });
-            });
-        });
 }
 
 /*
  * Migrate: live-migrate a powered-on VM's memory image to another
- * host over the management network (shared storage stays put).
+ * host over the management network (shared storage stays put).  The
+ * copy streams host to host; the destination host's agent and the
+ * VM's first datastore account the slots.
  */
-void
-ManagementServer::execMigrate(CtxPtr ctx)
+TaskError
+ManagementServer::migrateHooks(CtxPtr ctx, OpStage stage)
 {
     const OpRequest &req = ctx->task->request();
-    if (!inv.hasVm(req.vm) || !inv.hasHost(req.host)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-    VmId vm_id = req.vm;
-    HostId dst = req.host;
-    Vm &vm0 = inv.vm(vm_id);
-    HostId src = vm0.host;
-    if (!src.valid() || src == dst ||
-        vm0.powerState() != PowerState::PoweredOn) {
-        finish(ctx, TaskError::InvalidState);
-        return;
-    }
-    {
-        Host &dhost = inv.host(dst);
-        if (!dhost.connected() || dhost.inMaintenance()) {
-            finish(ctx, TaskError::HostUnavailable);
-            return;
+    switch (stage) {
+      case OpStage::Precheck: {
+        if (!inv.hasVm(req.vm) || !inv.hasHost(req.host))
+            return TaskError::NoSuchEntity;
+        Vm &vm = inv.vm(req.vm);
+        if (!vm.host.valid() || vm.host == req.host ||
+            vm.powerState() != PowerState::PoweredOn)
+            return TaskError::InvalidState;
+        Host &dhost = inv.host(req.host);
+        if (!dhost.connected() || dhost.inMaintenance())
+            return TaskError::HostUnavailable;
+        for (DiskId d : vm.disks) {
+            if (!dhost.hasDatastore(inv.disk(d).datastore))
+                return TaskError::BadRequest;
         }
-        for (DiskId d : vm0.disks) {
-            if (!dhost.hasDatastore(inv.disk(d).datastore)) {
-                finish(ctx, TaskError::BadRequest);
-                return;
-            }
-        }
+        ctx->vm = req.vm;
+        ctx->src_host = vm.host;
+        ctx->host = req.host;
+        ctx->pending_locks = {{lockKey(ctx->vm), LockMode::Exclusive},
+                              {lockKey(ctx->src_host), LockMode::Shared},
+                              {lockKey(ctx->host), LockMode::Shared}};
+        return TaskError::None;
+      }
+      case OpStage::AfterLocks: {
+        if (!inv.hasVm(ctx->vm))
+            return TaskError::NoSuchEntity;
+        Vm &vm = inv.vm(ctx->vm);
+        if (vm.powerState() != PowerState::PoweredOn ||
+            vm.host != ctx->src_host || vm.disks.empty())
+            return TaskError::InvalidState;
+        if (!inv.host(ctx->host).commit(vm.vcpus, vm.memory))
+            return TaskError::PlacementFailed;
+        ctx->committed_host = ctx->host;
+        ctx->committed_vcpus = vm.vcpus;
+        ctx->committed_memory = vm.memory;
+        // Pre-copy overhead: dirty pages are retransmitted.
+        ctx->data_bytes = static_cast<Bytes>(
+            static_cast<double>(vm.memory) * 1.2);
+        return TaskError::None;
+      }
+      case OpStage::AfterDb:
+        ctx->host_step = HostStep::AgentData;
+        ctx->slot_ds = inv.disk(inv.vm(ctx->vm).disks.front()).datastore;
+        return TaskError::None;
+      case OpStage::AfterHost: {
+        Vm &vm = inv.vm(ctx->vm);
+        // The VM died mid-migration (source host crash); the rollback
+        // in finish() returns the destination commitment.
+        if (vm.powerState() != PowerState::PoweredOn)
+            return TaskError::InvalidState;
+        inv.host(ctx->src_host).release(vm.vcpus, vm.memory);
+        inv.host(ctx->src_host).unregisterVm(ctx->vm);
+        inv.host(ctx->host).registerVm(ctx->vm);
+        vm.host = ctx->host;
+        // Commitment now owned by the power state.
+        ctx->committed_host = HostId();
+        return TaskError::None;
+      }
+      default:
+        return TaskError::None;
     }
-
-    acquireLocks(
-        ctx,
-        {{lockKey(vm_id), LockMode::Exclusive},
-         {lockKey(src), LockMode::Shared},
-         {lockKey(dst), LockMode::Shared}},
-        [this, ctx, vm_id, src, dst]() {
-            if (!inv.hasVm(vm_id)) {
-                finish(ctx, TaskError::NoSuchEntity);
-                return;
-            }
-            Vm &vm = inv.vm(vm_id);
-            if (vm.powerState() != PowerState::PoweredOn ||
-                vm.host != src || vm.disks.empty()) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            Host &dhost = inv.host(dst);
-            if (!dhost.commit(vm.vcpus, vm.memory)) {
-                finish(ctx, TaskError::PlacementFailed);
-                return;
-            }
-            ctx->committed_host = dst;
-            ctx->committed_vcpus = vm.vcpus;
-            ctx->committed_memory = vm.memory;
-
-            // Pre-copy overhead: dirty pages are retransmitted.
-            Bytes wire_bytes = static_cast<Bytes>(
-                static_cast<double>(vm.memory) * 1.2);
-
-            OpType t = ctx->task->type();
-            runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                       [this, ctx, t, vm_id, src, dst, wire_bytes]() {
-                // Slot accounting on the destination host; the copy
-                // crosses the network fabric (src != dst datastores
-                // trick: pass distinct ids to force the fabric).
-                runAgentDataPhase(
-                    ctx, dst, inv.disk(inv.vm(vm_id).disks.front())
-                                  .datastore,
-                    DatastoreId(-2), DatastoreId(-3), wire_bytes,
-                    [this, ctx, t, vm_id, src, dst]() {
-                        Vm &vm = inv.vm(vm_id);
-                        if (vm.powerState() !=
-                            PowerState::PoweredOn) {
-                            // The VM died mid-migration (source
-                            // host crash); the rollback in finish()
-                            // returns the destination commitment.
-                            finish(ctx, TaskError::InvalidState);
-                            return;
-                        }
-                        inv.host(src).release(vm.vcpus, vm.memory);
-                        inv.host(src).unregisterVm(vm_id);
-                        inv.host(dst).registerVm(vm_id);
-                        vm.host = dst;
-                        // Commitment now owned by the power state.
-                        ctx->committed_host = HostId();
-                        runDbPhase(ctx, costs.finalizeTxns(t),
-                                   TaskPhase::Finalize,
-                                   [this, ctx]() {
-                            finish(ctx, TaskError::None);
-                        });
-                    },
-                    /*net_src=*/src, /*net_dst=*/dst);
-            });
-        });
 }
 
 /*
@@ -1810,89 +1614,74 @@ ManagementServer::execMigrate(CtxPtr ctx)
  * transitions gate on the host being empty of powered-on VMs —
  * evacuating them is the cloud layer's job.
  */
-void
-ManagementServer::execHostLifecycle(CtxPtr ctx)
+TaskError
+ManagementServer::hostLifecycleHooks(CtxPtr ctx, OpStage stage)
 {
     const OpRequest &req = ctx->task->request();
     OpType t = req.type;
-    if (!inv.hasHost(req.host)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-    HostId host_id = req.host;
-
-    std::vector<LockRequest> lock_reqs = {
-        {lockKey(host_id), LockMode::Exclusive}};
-    if (t == OpType::AddHost || t == OpType::RemoveHost) {
-        lock_reqs.push_back(
-            {{LockKind::Global, 0}, LockMode::Exclusive});
-    }
-
-    acquireLocks(ctx, std::move(lock_reqs), [this, ctx, t, host_id]() {
-        Host &host = inv.host(host_id);
+    switch (stage) {
+      case OpStage::Precheck:
+        if (!inv.hasHost(req.host))
+            return TaskError::NoSuchEntity;
+        ctx->host = req.host;
+        ctx->host_step = HostStep::Agent;
+        ctx->pending_locks = {{lockKey(ctx->host), LockMode::Exclusive}};
+        if (t == OpType::AddHost || t == OpType::RemoveHost) {
+            ctx->pending_locks.push_back(
+                {{LockKind::Global, 0}, LockMode::Exclusive});
+        }
+        return TaskError::None;
+      case OpStage::AfterLocks: {
+        Host &host = inv.host(ctx->host);
         switch (t) {
           case OpType::AddHost:
-            if (host.connected()) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
+            if (host.connected())
+                return TaskError::InvalidState;
             break;
           case OpType::RemoveHost:
-            if (!host.connected() || host.numVms() > 0) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
+            if (!host.connected() || host.numVms() > 0)
+                return TaskError::InvalidState;
             break;
-          case OpType::EnterMaintenance: {
-            if (!host.connected() || host.inMaintenance()) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
+          case OpType::EnterMaintenance:
+            if (!host.connected() || host.inMaintenance())
+                return TaskError::InvalidState;
             for (VmId v : host.vms()) {
-                if (inv.vm(v).powerState() == PowerState::PoweredOn) {
-                    finish(ctx, TaskError::InvalidState);
-                    return;
-                }
+                if (inv.vm(v).powerState() == PowerState::PoweredOn)
+                    return TaskError::InvalidState;
             }
             break;
-          }
           case OpType::ExitMaintenance:
-            if (!host.inMaintenance()) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
+            if (!host.inMaintenance())
+                return TaskError::InvalidState;
             break;
           default:
-            panic("execHostLifecycle: bad op");
+            panic("hostLifecycleHooks: bad op");
         }
-
-        runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                   [this, ctx, t, host_id]() {
-            runAgentPhase(ctx, host_id, [this, ctx, t, host_id]() {
-                Host &host = inv.host(host_id);
-                switch (t) {
-                  case OpType::AddHost:
-                    host.setConnected(true);
-                    break;
-                  case OpType::RemoveHost:
-                    host.setConnected(false);
-                    break;
-                  case OpType::EnterMaintenance:
-                    host.setMaintenance(true);
-                    break;
-                  case OpType::ExitMaintenance:
-                    host.setMaintenance(false);
-                    break;
-                  default:
-                    break;
-                }
-                runDbPhase(ctx, costs.finalizeTxns(t),
-                           TaskPhase::Finalize, [this, ctx]() {
-                    finish(ctx, TaskError::None);
-                });
-            });
-        });
-    });
+        return TaskError::None;
+      }
+      case OpStage::AfterHost: {
+        Host &host = inv.host(ctx->host);
+        switch (t) {
+          case OpType::AddHost:
+            host.setConnected(true);
+            break;
+          case OpType::RemoveHost:
+            host.setConnected(false);
+            break;
+          case OpType::EnterMaintenance:
+            host.setMaintenance(true);
+            break;
+          case OpType::ExitMaintenance:
+            host.setMaintenance(false);
+            break;
+          default:
+            break;
+        }
+        return TaskError::None;
+      }
+      default:
+        return TaskError::None;
+    }
 }
 
 /*
@@ -1900,70 +1689,54 @@ ManagementServer::execHostLifecycle(CtxPtr ctx)
  * datastore — the unit step of "cloud reconfiguration" (spreading
  * base disks so linked clones can land on more datastores).
  */
-void
-ManagementServer::execReplicateBaseDisk(CtxPtr ctx)
+TaskError
+ManagementServer::replicateBaseDiskHooks(CtxPtr ctx, OpStage stage)
 {
     const OpRequest &req = ctx->task->request();
-    if (!req.base_disk.valid() || !inv.hasDisk(req.base_disk) ||
-        !inv.hasHost(req.host)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
-    }
-    {
-        const VirtualDisk &base = inv.disk(req.base_disk);
-        if (base.kind != DiskKind::Flat) {
-            finish(ctx, TaskError::BadRequest);
-            return;
-        }
+    switch (stage) {
+      case OpStage::Precheck: {
+        if (!req.base_disk.valid() || !inv.hasDisk(req.base_disk) ||
+            !inv.hasHost(req.host))
+            return TaskError::NoSuchEntity;
+        if (inv.disk(req.base_disk).kind != DiskKind::Flat)
+            return TaskError::BadRequest;
         // Same-datastore replication is legal (additional shadow
         // copies on one datastore); the copy then runs through that
         // datastore's own pipe instead of the network fabric.
         Host &host = inv.host(req.host);
-        if (!host.connected() || host.inMaintenance()) {
-            finish(ctx, TaskError::HostUnavailable);
-            return;
-        }
+        if (!host.connected() || host.inMaintenance())
+            return TaskError::HostUnavailable;
+        ctx->pending_locks = {{lockKey(req.base_disk), LockMode::Shared},
+                              {lockKey(req.datastore), LockMode::Shared}};
+        return TaskError::None;
+      }
+      case OpStage::AfterLocks:
+        // The base may have been destroyed while we waited for the
+        // shared lock; holding it now protects the copy.
+        if (!inv.hasDisk(req.base_disk))
+            return TaskError::NoSuchEntity;
+        return TaskError::None;
+      case OpStage::AfterDb: {
+        const VirtualDisk &base = inv.disk(req.base_disk);
+        DiskConfig dc;
+        dc.kind = DiskKind::Flat;
+        dc.datastore = req.datastore;
+        dc.capacity = base.capacity;
+        DiskId copy = inv.createDisk(dc);
+        if (!copy.valid())
+            return TaskError::OutOfSpace;
+        ctx->task->setResultDisk(copy);
+        ctx->host = req.host;
+        ctx->host_step = HostStep::AgentData;
+        ctx->slot_ds = req.datastore;
+        ctx->src_ds = base.datastore;
+        ctx->dst_ds = req.datastore;
+        ctx->data_bytes = base.allocated;
+        return TaskError::None;
+      }
+      default:
+        return TaskError::None;
     }
-
-    acquireLocks(
-        ctx,
-        {{lockKey(req.base_disk), LockMode::Shared},
-         {lockKey(req.datastore), LockMode::Shared}},
-        [this, ctx]() {
-            const OpRequest &req = ctx->task->request();
-            // The base may have been destroyed while we waited for
-            // the shared lock; holding it now protects the copy.
-            if (!inv.hasDisk(req.base_disk)) {
-                finish(ctx, TaskError::NoSuchEntity);
-                return;
-            }
-            OpType t = req.type;
-            runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                       [this, ctx, t]() {
-                const OpRequest &req = ctx->task->request();
-                const VirtualDisk &base = inv.disk(req.base_disk);
-                DiskConfig dc;
-                dc.kind = DiskKind::Flat;
-                dc.datastore = req.datastore;
-                dc.capacity = base.capacity;
-                DiskId copy = inv.createDisk(dc);
-                if (!copy.valid()) {
-                    finish(ctx, TaskError::OutOfSpace);
-                    return;
-                }
-                ctx->task->setResultDisk(copy);
-                Bytes bytes = base.allocated;
-                runAgentDataPhase(
-                    ctx, req.host, req.datastore, base.datastore,
-                    req.datastore, bytes, [this, ctx, t]() {
-                        runDbPhase(ctx, costs.finalizeTxns(t),
-                                   TaskPhase::Finalize,
-                                   [this, ctx]() {
-                            finish(ctx, TaskError::None);
-                        });
-                    });
-            });
-        });
 }
 
 /*
@@ -1971,85 +1744,68 @@ ManagementServer::execReplicateBaseDisk(CtxPtr ctx)
  * disk, detaching it from its base (bounds chain depth; frees the
  * base for retirement).
  */
-void
-ManagementServer::execConsolidateDisk(CtxPtr ctx)
+TaskError
+ManagementServer::consolidateDiskHooks(CtxPtr ctx, OpStage stage)
 {
     const OpRequest &req = ctx->task->request();
-    if (!req.base_disk.valid() || !inv.hasDisk(req.base_disk) ||
-        !inv.hasHost(req.host)) {
-        finish(ctx, TaskError::NoSuchEntity);
-        return;
+    switch (stage) {
+      case OpStage::Precheck: {
+        if (!req.base_disk.valid() || !inv.hasDisk(req.base_disk) ||
+            !inv.hasHost(req.host))
+            return TaskError::NoSuchEntity;
+        const VirtualDisk &d = inv.disk(req.base_disk);
+        if (!d.isDelta() || d.ref_count > 0)
+            return TaskError::BadRequest;
+        ctx->disk = req.base_disk;
+        ctx->parent_disk = d.parent;
+        ctx->pending_locks = {
+            {lockKey(ctx->disk), LockMode::Exclusive},
+            {lockKey(ctx->parent_disk), LockMode::Shared}};
+        return TaskError::None;
+      }
+      case OpStage::AfterLocks: {
+        // Either end of the chain may have vanished while we waited
+        // (the disks are not ours until the locks are).
+        if (!inv.hasDisk(ctx->disk) || !inv.hasDisk(ctx->parent_disk))
+            return TaskError::NoSuchEntity;
+        VirtualDisk &d = inv.disk(ctx->disk);
+        if (!d.isDelta() || d.parent != ctx->parent_disk ||
+            d.ref_count > 0)
+            return TaskError::InvalidState;
+        // Space for the base content being copied in.
+        Bytes extra = inv.disk(ctx->parent_disk).allocated;
+        if (!inv.datastore(d.datastore).reserve(extra))
+            return TaskError::OutOfSpace;
+        ctx->reserved_ds = d.datastore;
+        ctx->reserved_bytes = extra;
+        ctx->slot_ds = d.datastore;
+        ctx->dst_ds = d.datastore;
+        ctx->data_bytes = extra;
+        return TaskError::None;
+      }
+      case OpStage::AfterDb:
+        ctx->host = req.host;
+        ctx->host_step = HostStep::AgentData;
+        ctx->src_ds = inv.disk(ctx->parent_disk).datastore;
+        return TaskError::None;
+      case OpStage::AfterHost: {
+        VirtualDisk &d = inv.disk(ctx->disk);
+        VirtualDisk &parent = inv.disk(ctx->parent_disk);
+        d.allocated += ctx->reserved_bytes;
+        d.kind = DiskKind::Flat;
+        d.parent = DiskId();
+        d.chain_depth = 1;
+        parent.ref_count -= 1;
+        if (parent.ref_count < 0)
+            panic("Consolidate: ref underflow");
+        // Reservation now owned by the disk record.
+        ctx->reserved_bytes = 0;
+        ctx->reserved_ds = DatastoreId();
+        return TaskError::None;
+      }
+      default:
+        return TaskError::None;
     }
-    DiskId disk_id = req.base_disk;
-    {
-        const VirtualDisk &d = inv.disk(disk_id);
-        if (!d.isDelta() || d.ref_count > 0) {
-            finish(ctx, TaskError::BadRequest);
-            return;
-        }
-    }
-
-    DiskId parent_id = inv.disk(disk_id).parent;
-    acquireLocks(
-        ctx,
-        {{lockKey(disk_id), LockMode::Exclusive},
-         {lockKey(parent_id), LockMode::Shared}},
-        [this, ctx, disk_id, parent_id]() {
-            // Either end of the chain may have vanished while we
-            // waited (the disks are not ours until the locks are).
-            if (!inv.hasDisk(disk_id) || !inv.hasDisk(parent_id)) {
-                finish(ctx, TaskError::NoSuchEntity);
-                return;
-            }
-            if (!inv.disk(disk_id).isDelta() ||
-                inv.disk(disk_id).parent != parent_id ||
-                inv.disk(disk_id).ref_count > 0) {
-                finish(ctx, TaskError::InvalidState);
-                return;
-            }
-            const OpRequest &req = ctx->task->request();
-            OpType t = req.type;
-            VirtualDisk &d = inv.disk(disk_id);
-            const VirtualDisk &parent = inv.disk(parent_id);
-
-            // Space for the base content being copied in.
-            Bytes extra = parent.allocated;
-            if (!inv.datastore(d.datastore).reserve(extra)) {
-                finish(ctx, TaskError::OutOfSpace);
-                return;
-            }
-            ctx->reserved_ds = d.datastore;
-            ctx->reserved_bytes = extra;
-
-            DatastoreId ds = d.datastore;
-            Bytes bytes = parent.allocated;
-            runDbPhase(ctx, costs.dbTxns(t), TaskPhase::Db,
-                       [this, ctx, t, disk_id, parent_id, ds, bytes]() {
-                const OpRequest &req = ctx->task->request();
-                runAgentDataPhase(
-                    ctx, req.host, ds,
-                    inv.disk(parent_id).datastore, ds, bytes,
-                    [this, ctx, t, disk_id, parent_id]() {
-                        VirtualDisk &d = inv.disk(disk_id);
-                        VirtualDisk &parent = inv.disk(parent_id);
-                        d.allocated += ctx->reserved_bytes;
-                        d.kind = DiskKind::Flat;
-                        d.parent = DiskId();
-                        d.chain_depth = 1;
-                        parent.ref_count -= 1;
-                        if (parent.ref_count < 0)
-                            panic("Consolidate: ref underflow");
-                        // Reservation now owned by the disk record.
-                        ctx->reserved_bytes = 0;
-                        ctx->reserved_ds = DatastoreId();
-                        runDbPhase(ctx, costs.finalizeTxns(t),
-                                   TaskPhase::Finalize,
-                                   [this, ctx]() {
-                            finish(ctx, TaskError::None);
-                        });
-                    });
-            });
-        });
 }
 
 } // namespace vcp

@@ -254,82 +254,109 @@ class ManagementServer
 
     /**
      * Contexts are owned by a pool on the server and passed around as
-     * raw pointers: the continuation chain of one operation is
-     * strictly linear (at most one pending continuation per context,
-     * finish() is terminal), so the pointer cannot outlive its slot.
+     * raw pointers: one operation has at most one pending callback at
+     * a time and finish() is terminal, so the pointer cannot outlive
+     * its slot.
      */
     using CtxPtr = OpCtx *;
 
-    /** Dispatch entry: validate and route to the per-op executor. */
-    void runTask(CtxPtr ctx);
+    /**
+     * The points where the phase driver hands control to an op type,
+     * in pipeline order.  What each stage may do:
+     *
+     *  - Precheck:   validate the request against the inventory, fill
+     *                OpCtx::pending_locks, and record the entity ids
+     *                later stages need.  Must not touch the
+     *                inventory.
+     *  - AfterLocks: the locks are held.  Re-validate (the inventory
+     *                may have changed while the task waited), then
+     *                commit host resources or reserve datastore space
+     *                and record them in the context.
+     *  - AfterDb:    the Db transactions committed.  Create the op's
+     *                provisional records (listed in the context) and
+     *                describe the host step.
+     *  - AfterHost:  the host step finished.  Apply the inventory
+     *                change and hand provisional state over to the
+     *                records that now own it.
+     *
+     * A hook returns TaskError::None to continue or an error to end
+     * the op.  Hooks never release or roll back anything themselves:
+     * finish() owns that, driven by what the context records.
+     */
+    enum class OpStage : std::uint8_t
+    {
+        Precheck,
+        AfterLocks,
+        AfterDb,
+        AfterHost,
+    };
 
-    /** @{ Per-op executors (documented in the .cc). */
-    void execPower(CtxPtr ctx);
-    void execCreateVm(CtxPtr ctx);
-    void execClone(CtxPtr ctx);
-    void execDestroy(CtxPtr ctx);
-    void execRegister(CtxPtr ctx);
-    void execReconfigure(CtxPtr ctx);
-    void execSnapshot(CtxPtr ctx);
-    void execRemoveSnapshot(CtxPtr ctx);
-    void execRelocate(CtxPtr ctx);
-    void execMigrate(CtxPtr ctx);
-    void execHostLifecycle(CtxPtr ctx);
-    void execReplicateBaseDisk(CtxPtr ctx);
-    void execConsolidateDisk(CtxPtr ctx);
+    /** The host-side step between the Db and Finalize phases. */
+    enum class HostStep : std::uint8_t
+    {
+        None,      ///< record-only (a VM registered on no host)
+        Agent,     ///< one execution on the host's agent
+        AgentData, ///< datastore slot + agent setup + bulk data copy
+    };
+
+    /**
+     * The phase driver: the one place that knows the phase order.
+     * Runs api -> queue -> locks -> Db -> host step -> Finalize, with
+     * the op's hooks between the phases; every asynchronous phase
+     * re-enters it on completion (documented in the .cc).
+     */
+    void advance(CtxPtr ctx);
+
+    /** Set ctx's phase in flight and its start time. */
+    void startPhase(CtxPtr ctx, TaskPhase phase);
+
+    /** Route one hook call to the op type's hook function. */
+    TaskError runHook(CtxPtr ctx, OpStage stage);
+
+    /**
+     * @{ Per-op hooks (documented in the .cc).  Each handles the
+     * stages its op needs and returns TaskError::None for the rest.
+     */
+    TaskError powerHooks(CtxPtr ctx, OpStage stage);
+    TaskError createVmHooks(CtxPtr ctx, OpStage stage);
+    TaskError cloneHooks(CtxPtr ctx, OpStage stage);
+    TaskError destroyHooks(CtxPtr ctx, OpStage stage);
+    TaskError registerHooks(CtxPtr ctx, OpStage stage);
+    TaskError reconfigureHooks(CtxPtr ctx, OpStage stage);
+    TaskError snapshotHooks(CtxPtr ctx, OpStage stage);
+    TaskError removeSnapshotHooks(CtxPtr ctx, OpStage stage);
+    TaskError relocateHooks(CtxPtr ctx, OpStage stage);
+    TaskError migrateHooks(CtxPtr ctx, OpStage stage);
+    TaskError hostLifecycleHooks(CtxPtr ctx, OpStage stage);
+    TaskError replicateBaseDiskHooks(CtxPtr ctx, OpStage stage);
+    TaskError consolidateDiskHooks(CtxPtr ctx, OpStage stage);
     /** @} */
 
     /**
-     * @{ Pipeline helpers.
-     *
-     * Each parks the continuation @p then in the context (OpCtx::next)
-     * and chains through callbacks capturing only {this, ctx}, so a
-     * pipeline hop never re-wraps the continuation — the wrapping
-     * would spill InlineAction's inline buffer and allocate per hop.
+     * @{ The AgentData host step: acquire the datastore slot, then an
+     * agent slot, run the host setup, move OpCtx::data_bytes (0 = no
+     * copy), release both, and return to the driver.  Same-datastore
+     * copies charge the datastore's own pipe; anything else crosses
+     * the routed network fabric.
      */
-    void acquireLocks(CtxPtr ctx, std::vector<LockRequest> reqs,
-                      InlineAction then);
-    void runDbPhase(CtxPtr ctx, int txns, TaskPhase phase,
-                    InlineAction then);
-    void runAgentPhase(CtxPtr ctx, HostId host, InlineAction then);
-
-    /**
-     * Acquire datastore slot + host agent slot, run host setup, then
-     * move @p bytes (0 = no copy), release both, and continue.
-     *
-     * Same-datastore copies charge the datastore's own pipe;
-     * anything else crosses the routed network fabric.  Fabric
-     * endpoints default to the src/dst datastores' bound nodes;
-     * @p net_src / @p net_dst override them with host nodes for
-     * host-to-host movement (live migration's memory stream).
-     */
-    void runAgentDataPhase(CtxPtr ctx, HostId host,
-                           DatastoreId slot_ds, DatastoreId src_ds,
-                           DatastoreId dst_ds, Bytes bytes,
-                           InlineAction then,
-                           HostId net_src = HostId(),
-                           HostId net_dst = HostId());
-
-    /** @{ runAgentDataPhase stages (parameters live in the ctx). */
     void dataSlotGranted(CtxPtr ctx);
     void dataAgentGranted(CtxPtr ctx);
     void dataSetupDone(CtxPtr ctx);
     void dataCopyDone(CtxPtr ctx);
     /** Fabric lost the path mid-copy: fail the task. */
     void dataCopyFailed(CtxPtr ctx);
+    void releaseDataSlots(CtxPtr ctx);
     /** @} */
 
     /** Finish the task, releasing everything the ctx still holds. */
     void finish(CtxPtr ctx, TaskError err);
-    /** @} */
 
     /**
-     * @{ Span recording.  No-ops (one branch) without an attached and
-     * enabled tracer; see DESIGN.md "Observability".
+     * Charge [ctx->phase_start, now] to @p phase and, with an attached
+     * and enabled tracer, record it as a span (see DESIGN.md
+     * "Observability"; without a tracer this costs one branch).
      */
-
-    /** Record [ctx->phase_start, now] as a @p phase span. */
-    void tracePhase(CtxPtr ctx, TaskPhase phase);
+    void endPhase(CtxPtr ctx, TaskPhase phase);
 
     /**
      * Split the HostAgent phase just recorded into agent-wait /
@@ -341,7 +368,6 @@ class ManagementServer
 
     /** Record the whole-op span of a finished task. */
     void traceOp(const Task &t);
-    /** @} */
 
     /** @{ Context pool. */
     OpCtx *allocCtx();

@@ -328,6 +328,8 @@ TEST_F(OpsTest, UnregisterThenRegisterElsewhere)
     ASSERT_TRUE(runOp(unreg).succeeded());
     EXPECT_FALSE(inv->vm(vm).host.valid());
     EXPECT_FALSE(inv->host(h0).hasVm(vm));
+    // A VM registered nowhere cannot be unregistered again.
+    EXPECT_EQ(runOp(unreg).error(), TaskError::InvalidState);
 
     OpRequest reg;
     reg.type = OpType::RegisterVm;
