@@ -13,6 +13,8 @@
  * hardware (or placement fragmentation) binds.
  */
 
+#include <chrono>
+
 #include "bench_util.hh"
 #include "cloud/federation.hh"
 
@@ -22,6 +24,8 @@ struct FedPoint
 {
     double makespan_min = 0.0;
     double throughput_per_h = 0.0;
+    /** Host wall time of the whole point, build through run. */
+    double wall_ms = 0.0;
 };
 
 /**
@@ -128,8 +132,13 @@ main(int argc, char **argv)
     const std::vector<int> shard_counts = {1, 2, 4, 8};
     std::vector<FedPoint> results(shard_counts.size());
     makeSweepRunner(opts).run(results.size(), [&](std::size_t i) {
+        auto t0 = std::chrono::steady_clock::now();
         results[i] = run(shard_counts[i], burst, opts.shards,
                          ParallelSweepRunner::forkSeed(111, i));
+        results[i].wall_ms =
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - t0)
+                .count();
     });
 
     Table t({"shards", "hosts/shard", "makespan_min",
@@ -148,6 +157,15 @@ main(int argc, char **argv)
     maybeWriteCsv(opts, t);
     std::printf("expected shape: near-linear speedup while the "
                 "control plane binds; flattens once per-shard "
-                "hardware or data-plane limits take over.\n");
+                "hardware or data-plane limits take over.\n\n");
+
+    // Host wall time varies run to run, so it stays out of the
+    // table above and out of --csv, which are deterministic.
+    Table w({"shards", "wall_ms"});
+    for (std::size_t i = 0; i < shard_counts.size(); ++i)
+        w.row()
+            .cell(static_cast<std::int64_t>(shard_counts[i]))
+            .cell(results[i].wall_ms, 1);
+    printTable("host wall time per point", w);
     return 0;
 }

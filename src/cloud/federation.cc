@@ -27,6 +27,14 @@ CloudFederation::CloudFederation(Simulator &sim_, StatRegistry &stats_,
     if (cfg.datastore.capacity <= 0)
         fatal("CloudFederation: datastore capacity unset");
 
+    // The stacks share nothing and never post() to each other, so
+    // every execution shard is declared closed: no shard bounds
+    // another's horizon and a Threaded runUntil() is one round.
+    if (cfg.engine)
+        for (int e = 0; e < cfg.engine->numShards(); ++e)
+            cfg.engine->setLookahead(static_cast<ShardId>(e),
+                                     ShardedSimulator::kNoSends);
+
     for (int s = 0; s < cfg.shards; ++s) {
         auto shard = std::make_unique<Shard>();
 

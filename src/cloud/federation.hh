@@ -56,7 +56,10 @@ struct FederationConfig
      * constructor is ignored for shard construction.  Because the
      * shards share nothing, the partition is shard-closed and the
      * engine may run Threaded; each shard then records into its own
-     * StatRegistry (see shardStats()) so counters never race.
+     * StatRegistry (see shardStats()) so counters never race.  The
+     * constructor declares every engine shard closed
+     * (ShardedSimulator::kNoSends), so a Threaded runUntil() takes a
+     * single round; nothing in a federation may post() across shards.
      */
     ShardedSimulator *engine = nullptr;
 };

@@ -18,6 +18,14 @@ thread_local ShardId tls_shard = ~ShardId(0);
 /** Trace-lane window cap per shard (16 B each). */
 constexpr std::size_t kMaxWindowsPerShard = 16384;
 
+/** t + d for a lookahead d >= 0, saturating at kMaxSimTime (a closed
+ *  shard's kNoSends lookahead must not overflow). */
+SimTime
+saturatingAdd(SimTime t, SimDuration d)
+{
+    return t > kMaxSimTime - d ? kMaxSimTime : t + d;
+}
+
 } // namespace
 
 const char *
@@ -169,7 +177,11 @@ ShardedSimulator::post(ShardId src, ShardId dst, SimTime when,
     Shard &d = *shards_[dst];
     bool threaded_run = running_.load(std::memory_order_relaxed) &&
                         opts_.mode == ShardExecMode::Threaded;
-    if (src != dst && when < s.sim.now() + s.lookahead)
+    if (src != dst && s.lookahead == kNoSends)
+        panic("ShardedSimulator::post: shard %u is closed (kNoSends) "
+              "but sent to shard %u",
+              src, dst);
+    if (src != dst && when < saturatingAdd(s.sim.now(), s.lookahead))
         panic("ShardedSimulator::post: send from shard %u (now %lld) "
               "for %lld violates its lookahead promise of %lld",
               src, static_cast<long long>(s.sim.now()),
@@ -201,7 +213,6 @@ ShardedSimulator::post(ShardId src, ShardId dst, SimTime when,
     ev.seq = seq;
     ev.action = std::move(action);
     ++s.stats.cross_sent;
-    cross_pending_.fetch_add(1, std::memory_order_release);
     d.inbox[src]->push(std::move(ev));
 }
 
@@ -223,11 +234,7 @@ ShardedSimulator::drainInboxes(Shard &sh)
             ++n;
         }
     }
-    if (n) {
-        sh.stats.cross_received += n;
-        cross_pending_.fetch_sub(static_cast<std::int64_t>(n),
-                                 std::memory_order_acq_rel);
-    }
+    sh.stats.cross_received += n;
     return n;
 }
 
@@ -356,7 +363,6 @@ ShardedSimulator::runThreadedUntil(SimTime until)
         sh->sim.stopping = false;
         sh->bound.store(sh->sim.now(), std::memory_order_relaxed);
     }
-    done_flag_.store(false);
     std::barrier<> bar(static_cast<std::ptrdiff_t>(K));
     std::vector<std::thread> threads;
     threads.reserve(K - 1);
@@ -390,7 +396,7 @@ ShardedSimulator::worker(ShardId s, SimTime until, std::barrier<> &bar)
                 .count());
     };
     for (;;) {
-        // (1) Adopt every delivery from completed rounds, then
+        // (1) Adopt every delivery from the last window, then
         // (2) publish this shard's send bound for the round: no event
         // it can still execute — and therefore no send it can still
         // make — happens before min(next local event, until).
@@ -404,20 +410,20 @@ ShardedSimulator::worker(ShardId s, SimTime until, std::barrier<> &bar)
         // bound plus its declared lookahead.  Any send they can still
         // make lands at >= bound + lookahead >= H, so nothing can
         // arrive in this window's past — even over zero-lookahead
-        // edges and chains through third shards.
+        // edges and chains through third shards.  A closed shard's
+        // kNoSends saturates and never limits H.
         SimTime h = until;
         for (ShardId o = 0; o < K; ++o) {
             if (o == s)
                 continue;
-            SimTime b =
-                shards_[o]->bound.load(std::memory_order_acquire);
-            SimDuration la = shards_[o]->lookahead;
-            SimTime safe =
-                b > kMaxSimTime - la ? kMaxSimTime : b + la;
-            h = std::min(h, safe);
+            h = std::min(
+                h, saturatingAdd(
+                       shards_[o]->bound.load(std::memory_order_acquire),
+                       shards_[o]->lookahead));
         }
         ++sh.stats.rounds;
         std::uint64_t before = sh.sim.eventsProcessed();
+        std::uint64_t sent_before = sh.stats.cross_sent;
         SimTime wstart = sh.sim.now();
         while (!stopping_.load(std::memory_order_relaxed) &&
                !sh.sim.stopRequested()) {
@@ -438,35 +444,39 @@ ShardedSimulator::worker(ShardId s, SimTime until, std::barrier<> &bar)
                                   static_cast<std::uint32_t>(
                                       std::min<std::uint64_t>(
                                           ran, UINT32_MAX))});
-        timedBarrier();
 
-        // (4) Termination, decided by shard 0 alone while the others
-        // hold at the closing barrier (so the counters it reads are
-        // quiescent): every bound at `until` and no cross event still
-        // in a mailbox.  Bounds are pre-window, but a bound of
-        // `until` admits the full window, so any work it spawned
-        // either already ran or shows up in cross_pending_.
-        if (s == 0) {
-            bool done = stopping_.load(std::memory_order_relaxed);
-            if (!done &&
-                cross_pending_.load(std::memory_order_acquire) == 0) {
-                done = true;
-                for (const auto &o : shards_) {
-                    if (o->bound.load(std::memory_order_relaxed) <
-                        until) {
-                        done = false;
-                        break;
-                    }
-                }
-            }
-            done_flag_.store(done, std::memory_order_release);
-            ++rounds_;
-        }
+        // (4) Record how the window ended.  A window that reached
+        // `until` ran every local event due by then; if it also sent
+        // nothing, no new work can appear for this run on its
+        // account.  The stop flag is sampled here, before the
+        // barrier, so every shard sees the same records after it.
+        WindowEnd end = WindowEnd::Open;
+        if (stopping_.load(std::memory_order_acquire))
+            end = WindowEnd::Stopped;
+        else if (h == until && sh.stats.cross_sent == sent_before)
+            end = WindowEnd::Settled;
+        sh.window_end.store(end, std::memory_order_relaxed);
         timedBarrier();
-        if (done_flag_.load(std::memory_order_acquire))
+        if (roundsDone())
             break;
     }
     tls_shard = kNoShard;
+}
+
+bool
+ShardedSimulator::roundsDone() const
+{
+    // Reads only records written before the closing barrier (the next
+    // writes follow the next round's first barrier), so every shard
+    // reaches the same verdict.
+    bool settled = true;
+    for (const auto &o : shards_) {
+        WindowEnd e = o->window_end.load(std::memory_order_relaxed);
+        if (e == WindowEnd::Stopped)
+            return true;
+        settled &= e == WindowEnd::Settled;
+    }
+    return settled;
 }
 
 const std::vector<ShardedSimulator::Window> &

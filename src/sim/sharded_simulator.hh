@@ -18,28 +18,38 @@
  *    Cross-shard model calls stay legal (it is one thread), which is
  *    what lets the single-management-server model run sharded today.
  *
- *  - **Threaded**: one worker per shard.  Each round, every shard
- *    (1) drains its inbound mailboxes, (2) publishes
- *    bound = min(next local event time, until), then after a barrier
- *    (3) executes local events up to
- *    H = min over other shards (bound + their declared lookahead).
- *    A send posted while executing an event at time t satisfies
- *    when >= t + lookahead >= bound + lookahead >= every receiver's
- *    H, so no shard ever receives an event in its past — including
- *    chains through third shards and zero-lookahead edges (the
- *    receiver's H is then capped at the sender's bound itself).
- *    Rounds are separated by barriers, which also makes mailbox
- *    drain points — and hence the whole execution — deterministic
- *    for a fixed shard count: cross-shard ties are ordered by a
- *    (source shard, source sequence) key, not by arrival timing.
+ *  - **Threaded**: one worker per shard, two barriers per round.
+ *    Every shard (1) drains its inbound mailboxes, (2) publishes
+ *    bound = min(next local event time, until), then after the
+ *    first barrier (3) executes local events up to
+ *    H = min(until, min over other shards (bound + their declared
+ *    lookahead)) and records whether its window settled (H reached
+ *    until and it sent nothing) or saw a stop, then crosses the
+ *    second barrier.  A send posted while executing an event at
+ *    time t satisfies when >= t + lookahead >= bound + lookahead >=
+ *    every receiver's H, so no shard ever receives an event in its
+ *    past — including chains through third shards and zero-lookahead
+ *    edges (the receiver's H is then capped at the sender's bound
+ *    itself).  Every shard then reads the same K window records, all
+ *    written before the second barrier, and takes the same exit: the
+ *    run is done once a stop was seen or every window settled.
+ *    Barriers also make mailbox drain points — and hence the whole
+ *    execution — deterministic for a fixed shard count: cross-shard
+ *    ties are ordered by a (source shard, source sequence) key, not
+ *    by arrival timing.
+ *
+ *    A shard whose lookahead is kNoSends is *closed*: it promises
+ *    never to post to another shard, so it bounds no other shard's
+ *    horizon.  When every shard is closed each runUntil() is a
+ *    single round.
  *
  * Threaded mode requires the model partition to be *shard-closed*:
  * an event handler may touch only state owned by its shard, and all
  * cross-shard work must flow through post().  The share-nothing
  * federation stacks satisfy this; the single-server model does not
  * yet (its pipeline helpers call host-agent and datastore centers
- * synchronously) and therefore runs Merge.  See DESIGN.md "Parallel
- * kernel".
+ * synchronously) and therefore runs Merge.  The federation declares
+ * its execution shards closed.  See DESIGN.md "Parallel kernel".
  */
 
 #ifndef VCP_SIM_SHARDED_SIMULATOR_HH
@@ -78,7 +88,8 @@ class ShardedSimulator
          * Default outgoing-lookahead promise per shard: every post()
          * from shard s must satisfy when >= s.now() + lookahead(s).
          * 0 is always safe (the round protocol tolerates it); larger
-         * values widen every other shard's execution window.
+         * values widen every other shard's execution window, and
+         * kNoSends closes the shard.
          */
         SimDuration lookahead = 0;
 
@@ -127,8 +138,15 @@ class ShardedSimulator
     Simulator &shard(ShardId s);
     const Simulator &shard(ShardId s) const;
 
+    /**
+     * Lookahead of a *closed* shard: one that never posts to another
+     * shard.  Horizon arithmetic saturates, so a closed shard never
+     * limits another shard's window; post() from it panics.
+     */
+    static constexpr SimDuration kNoSends = kMaxSimTime;
+
     /** Declare shard @p s's outgoing-lookahead promise (enforced on
-     *  every post() while running threaded). */
+     *  every cross-shard post()); kNoSends closes the shard. */
     void setLookahead(ShardId s, SimDuration la);
     SimDuration lookahead(ShardId s) const;
 
@@ -179,8 +197,9 @@ class ShardedSimulator
      *  its inboxes (racy while running; telemetry backlog probe). */
     std::size_t mailboxBacklog(ShardId s) const;
 
-    /** Horizon rounds completed (threaded mode). */
-    std::uint64_t rounds() const { return rounds_; }
+    /** Horizon rounds completed (threaded mode; every shard runs
+     *  the same rounds). */
+    std::uint64_t rounds() const { return shards_[0]->stats.rounds; }
 
     /** One executed horizon window (threaded runs; trace-lane
      *  material — see flushShardLanes in trace/shard_lanes.hh). */
@@ -203,11 +222,22 @@ class ShardedSimulator
         InlineAction action;
     };
 
+    /** How a shard's last threaded window ended. */
+    enum class WindowEnd : std::uint8_t
+    {
+        Open,    ///< H < until or it sent cross events: run another round
+        Settled, ///< H reached until and it sent nothing
+        Stopped, ///< a stop was requested
+    };
+
     struct Shard
     {
         Simulator sim;
         /** Published lower bound on future sends (round protocol). */
         std::atomic<SimTime> bound{0};
+        /** Written before a round's closing barrier, read by every
+         *  shard after it (termination). */
+        std::atomic<WindowEnd> window_end{WindowEnd::Open};
         SimDuration lookahead = 0;
         /** inbox[src]: SPSC ring from shard src. */
         std::vector<std::unique_ptr<SpscMailbox<CrossEvent>>> inbox;
@@ -222,6 +252,9 @@ class ShardedSimulator
     void runMergeUntil(SimTime until, bool drain);
     void runThreadedUntil(SimTime until);
     void worker(ShardId s, SimTime until, std::barrier<> &bar);
+
+    /** True once a window saw a stop or every window settled. */
+    bool roundsDone() const;
 
     /** Drain shard @p s's inboxes into its queue; returns items. */
     std::uint64_t drainInboxes(Shard &sh);
@@ -242,10 +275,6 @@ class ShardedSimulator
 
     std::atomic<bool> stopping_{false};
     std::atomic<bool> running_{false};
-    std::atomic<bool> done_flag_{false};
-    /** Cross events sent but not yet drained (termination check). */
-    std::atomic<std::int64_t> cross_pending_{0};
-    std::uint64_t rounds_ = 0;
 };
 
 } // namespace vcp

@@ -152,15 +152,18 @@ TEST_F(FederationTest, InvalidConfigFatal)
 
 /** Engine-bound federation: run the same burst under the merge
  *  oracle and under real threads; every per-shard registry must come
- *  out byte-identical (share-nothing stacks are shard-closed). */
+ *  out byte-identical (share-nothing stacks are shard-closed), also
+ *  with more domains than execution shards.  The engine's shards are
+ *  closed, so each Threaded runUntil() is a single round. */
 TEST_F(FederationTest, EngineThreadedMatchesMergeOracle)
 {
-    auto runFed = [](ShardExecMode mode) {
+    auto runFed = [](ShardExecMode mode, int domains,
+                     std::uint64_t *rounds) {
         ShardedSimulator::Options o;
         o.mode = mode;
         ShardedSimulator eng(3, 11, o);
         StatRegistry st;
-        FederationConfig cfg = smallFederation(3);
+        FederationConfig cfg = smallFederation(domains);
         cfg.engine = &eng;
         CloudFederation f(eng.shard(0), st, cfg);
         std::size_t t = f.addTenant({"org", 0});
@@ -168,17 +171,24 @@ TEST_F(FederationTest, EngineThreadedMatchesMergeOracle)
                                          gib(1), 1, hours(24));
         for (int i = 0; i < 12; ++i)
             EXPECT_GE(f.deploy(t, m), 0);
+        eng.runUntil(hours(1));
         eng.runUntil(hours(2));
+        *rounds = eng.rounds();
         std::vector<std::string> csv;
         for (std::size_t s = 0; s < f.numShards(); ++s)
             csv.push_back(f.shardStats(s).toCsv());
         return std::tuple(f.vmsProvisioned(), f.opsCompleted(),
                           eng.eventsProcessed(), csv);
     };
-    auto merge = runFed(ShardExecMode::Merge);
-    auto threaded = runFed(ShardExecMode::Threaded);
-    EXPECT_EQ(std::get<0>(merge), 12u);
-    EXPECT_EQ(merge, threaded);
+    for (int domains : {3, 5}) {
+        std::uint64_t rounds = 0;
+        auto merge = runFed(ShardExecMode::Merge, domains, &rounds);
+        auto threaded =
+            runFed(ShardExecMode::Threaded, domains, &rounds);
+        EXPECT_EQ(std::get<0>(merge), 12u) << domains << " domains";
+        EXPECT_EQ(merge, threaded) << domains << " domains";
+        EXPECT_LE(rounds, 2u) << domains << " domains";
+    }
 }
 
 TEST_F(FederationTest, EngineThreadedRunsAreDeterministic)

@@ -249,6 +249,42 @@ TEST(ShardedSimulator, PostEnforcesLookaheadPromise)
     engine.post(0, 1, 10, 0, [] {}); // exactly at the promise: fine
 }
 
+TEST(ShardedSimulator, PostSaturatesHugeLookahead)
+{
+    // now + lookahead would overflow SimTime; the promise check must
+    // saturate instead and still reject the send.
+    ShardedSimulator engine(2, 1);
+    engine.setLookahead(0, kMaxSimTime - 5);
+    engine.runUntil(100);
+    EXPECT_THROW(engine.post(0, 1, 200, 0, [] {}), PanicError);
+    EXPECT_EQ(engine.shard(1).pendingEvents(), 0u);
+}
+
+TEST(ShardedSimulator, ClosedShardPostPanicsNamingTheShard)
+{
+    ShardedSimulator engine(3, 1);
+    engine.setLookahead(2, ShardedSimulator::kNoSends);
+    try {
+        engine.post(2, 0, 50, 0, [] {});
+        FAIL() << "post from a closed shard must panic";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("shard 2 is closed"),
+                  std::string::npos)
+            << e.what();
+    }
+    // Local posts and posts from open shards stay legal.
+    engine.post(2, 2, 50, 0, [] {});
+    engine.post(0, 2, 50, 0, [] {});
+    EXPECT_EQ(engine.shard(2).pendingEvents(), 2u);
+}
+
+TEST(ShardedSimulator, NegativeLookaheadPanics)
+{
+    ShardedSimulator engine(2, 1);
+    EXPECT_THROW(engine.setLookahead(1, -1), PanicError);
+    EXPECT_EQ(engine.lookahead(1), 0);
+}
+
 ShardedSimulator::Options
 threadedOpts(SimDuration la)
 {
@@ -410,6 +446,73 @@ TEST(ShardedSimulator, ThreadedDrainRun)
     for (ShardId s = 0; s < 3; ++s)
         EXPECT_EQ(hits[s], 2u) << "shard " << s;
     EXPECT_EQ(engine.eventsProcessed(), 6u);
+}
+
+/**
+ * Closed-shard workload: shard s runs a private chain with period
+ * 3 + s and never posts.  Returns each shard's log of executed times
+ * after three runUntil() steps.
+ */
+std::vector<std::vector<SimTime>>
+runClosedChains(ShardExecMode mode, int k, std::uint64_t *rounds,
+                std::uint64_t *stalled)
+{
+    ShardedSimulator::Options o;
+    o.mode = mode;
+    ShardedSimulator engine(k, 3, o);
+    std::vector<std::vector<SimTime>> log(static_cast<std::size_t>(k));
+    std::vector<std::function<void()>> step(log.size());
+    for (ShardId s = 0; s < static_cast<ShardId>(k); ++s) {
+        engine.setLookahead(s, ShardedSimulator::kNoSends);
+        step[s] = [&engine, &log, &step, s] {
+            Simulator &sim = engine.shard(s);
+            log[s].push_back(sim.now());
+            sim.schedule(3 + static_cast<SimDuration>(s),
+                         [&step, s] { step[s](); });
+        };
+        engine.shard(s).scheduleAt(static_cast<SimTime>(s),
+                                   [&step, s] { step[s](); });
+    }
+    for (SimTime until : {100, 250, 400})
+        engine.runUntil(until);
+    *rounds = engine.rounds();
+    *stalled = 0;
+    for (ShardId s = 0; s < static_cast<ShardId>(k); ++s)
+        *stalled += engine.shardStats(s).stalled_rounds;
+    return log;
+}
+
+TEST(ShardedSimulator, ThreadedClosedShardsTakeOneRoundPerRun)
+{
+    std::uint64_t rounds = 0, stalled = 0;
+    auto merge =
+        runClosedChains(ShardExecMode::Merge, 4, &rounds, &stalled);
+    EXPECT_EQ(rounds, 0u); // merge execution has no rounds
+    auto threaded =
+        runClosedChains(ShardExecMode::Threaded, 4, &rounds, &stalled);
+    EXPECT_EQ(rounds, 3u); // one per runUntil()
+    EXPECT_EQ(stalled, 0u);
+    EXPECT_EQ(threaded, merge);
+    EXPECT_EQ(threaded[3].back(), 399); // 3 + 6 * 66
+}
+
+TEST(ShardedSimulator, ThreadedZeroLookaheadPostAtUntilRunsSameRun)
+{
+    // An event at exactly `until` posts to another shard for `until`
+    // over a zero-lookahead edge: that delivery is still due in this
+    // run, so termination must wait for it.
+    ShardedSimulator engine(2, 1, threadedOpts(0));
+    bool delivered = false;
+    engine.shard(1).scheduleAt(100, [&engine, &delivered] {
+        engine.post(1, 0, 100, 0, [&engine, &delivered] {
+            delivered = engine.shard(0).now() == 100;
+        });
+    });
+    engine.runUntil(100);
+    EXPECT_TRUE(delivered);
+    EXPECT_EQ(engine.pendingEvents(), 0u);
+    EXPECT_EQ(engine.mailboxBacklog(0), 0u);
+    EXPECT_EQ(engine.shardStats(0).cross_received, 1u);
 }
 
 TEST(ShardedSimulator, ThreadedRecordsShardStats)

@@ -349,10 +349,8 @@ sweepMain(int argc, char **argv)
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+vcpsimMain(int argc, char **argv)
 {
     using namespace vcp;
     if (argc < 2) {
@@ -681,4 +679,20 @@ main(int argc, char **argv)
     if (!dump_stats.empty())
         ok &= writeFile(dump_stats, cs.stats().toCsv());
     return ok ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A library config error (fatal(): e.g. `--rate 0`, which the
+    // arrival model rejects) is the user's input, not a crash: report
+    // it and exit with usage status.  Sweep points rethrow here too.
+    try {
+        return vcpsimMain(argc, argv);
+    } catch (const vcp::FatalError &e) {
+        std::fprintf(stderr, "vcpsim: %s\n", e.what());
+        return 2;
+    }
 }
