@@ -126,8 +126,8 @@ class WindowedCounter
 /**
  * Exponentially-decaying gauge: EWMA of a sampled level with a fixed
  * time constant, plus last/min/max over the whole run.  sample() pays
- * one exp() — it runs on the cold sampler/snapshot path, never per
- * event.
+ * one exp() when the gap since the previous sample changes — it runs
+ * on the cold sampler/snapshot path, never per event.
  */
 class DecayingGauge
 {
@@ -142,8 +142,14 @@ class DecayingGauge
         if (n == 0) {
             ewma_ = v;
         } else {
-            double dt = toSeconds(now - last_t);
-            double alpha = dt > 0 ? 1.0 - std::exp(-dt / tau_s) : 0.0;
+            // Samplers feed at a fixed period: exp() only when the
+            // gap changes.  dt == 0 matches the initial alpha of 0.
+            SimDuration d = now - last_t;
+            if (d != alpha_dt) {
+                double dt = toSeconds(d);
+                alpha = dt > 0 ? 1.0 - std::exp(-dt / tau_s) : 0.0;
+                alpha_dt = d;
+            }
             ewma_ += alpha * (v - ewma_);
         }
         last_t = now;
@@ -167,6 +173,10 @@ class DecayingGauge
     double max_ = -std::numeric_limits<double>::infinity();
     SimTime last_t = 0;
     std::uint64_t n = 0;
+
+    /** EWMA weight cached for the sample gap it was computed for. */
+    SimDuration alpha_dt = 0;
+    double alpha = 0.0;
 };
 
 } // namespace vcp

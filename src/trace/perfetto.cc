@@ -1,11 +1,12 @@
 #include "trace/perfetto.hh"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
-#include <fstream>
+#include <cstring>
 #include <map>
+#include <memory>
 #include <queue>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -15,7 +16,7 @@ namespace vcp {
 
 namespace {
 
-/** Minimal JSON string escape (names are short identifiers). */
+/** JSON string escape; applied once per name table, not per event. */
 std::string
 jsonEscape(const std::string &s)
 {
@@ -48,6 +49,201 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+std::vector<std::string>
+escapeAll(const std::vector<std::string> &names)
+{
+    std::vector<std::string> out;
+    out.reserve(names.size());
+    for (const std::string &n : names)
+        out.push_back(jsonEscape(n));
+    return out;
+}
+
+std::string_view
+lookupName(const std::vector<std::string> &table, std::size_t idx,
+           std::string_view fallback)
+{
+    return idx < table.size() ? std::string_view(table[idx]) : fallback;
+}
+
+/**
+ * Fixed-buffer output: text accumulates in 64 KiB that is handed to a
+ * FILE or appended to a string whenever it fills, so the export holds
+ * one buffer of text however large the trace is.
+ */
+class Sink
+{
+  public:
+    explicit Sink(std::FILE *f) : file(f) {}
+    explicit Sink(std::string &s) : str(&s) {}
+
+    void
+    put(char c)
+    {
+        if (len == kSize)
+            flush();
+        buf[len++] = c;
+    }
+
+    void
+    put(std::string_view s)
+    {
+        if (s.size() > kSize - len) {
+            flush();
+            if (s.size() > kSize) {
+                drain(s.data(), s.size());
+                return;
+            }
+        }
+        std::memcpy(buf + len, s.data(), s.size());
+        len += s.size();
+    }
+
+    /** Decimal integer, formatted by hand. */
+    void
+    num(std::int64_t v)
+    {
+        char tmp[20];
+        char *end = tmp + sizeof(tmp);
+        char *p = end;
+        std::uint64_t u = v < 0 ? 0 - static_cast<std::uint64_t>(v)
+                                : static_cast<std::uint64_t>(v);
+        do {
+            *--p = static_cast<char>('0' + u % 10);
+            u /= 10;
+        } while (u != 0);
+        if (v < 0)
+            put('-');
+        put(std::string_view(p, static_cast<std::size_t>(end - p)));
+    }
+
+    void
+    flush()
+    {
+        drain(buf, len);
+        len = 0;
+    }
+
+  private:
+    void
+    drain(const char *p, std::size_t n)
+    {
+        if (file)
+            std::fwrite(p, 1, n, file);
+        else
+            str->append(p, n);
+    }
+
+    static constexpr std::size_t kSize = 1u << 16;
+    char buf[kSize];
+    std::size_t len = 0;
+    std::FILE *file = nullptr;
+    std::string *str = nullptr;
+};
+
+/** trace_event envelope and event shapes over a Sink. */
+class Json
+{
+  public:
+    explicit Json(Sink &s) : out(s)
+    {
+        out.put("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+        begin();
+        out.put("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+                "\"args\":{\"name\":\"vcpsim\"}}");
+    }
+
+    void finish() { out.put("\n]}\n"); }
+
+    /** Lane label @p name, followed by " <suffix>" when >= 0. */
+    void
+    threadName(int tid, std::string_view name, std::int64_t suffix = -1)
+    {
+        begin();
+        out.put("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
+                "\"tid\":");
+        out.num(tid);
+        out.put(",\"args\":{\"name\":\"");
+        out.put(name);
+        if (suffix >= 0) {
+            out.put(' ');
+            out.num(suffix);
+        }
+        out.put("\"}}");
+    }
+
+    /** Complete event with one integer arg (plus the op's error). */
+    void
+    complete(std::string_view name, std::string_view cat, int tid,
+             SimTime ts, SimDuration dur, std::string_view key,
+             std::int64_t value, const std::string_view *error = nullptr)
+    {
+        begin();
+        out.put("{\"name\":\"");
+        out.put(name);
+        out.put("\",\"cat\":\"");
+        out.put(cat);
+        out.put("\",\"ph\":\"X\",\"pid\":1,\"tid\":");
+        out.num(tid);
+        out.put(",\"ts\":");
+        out.num(ts);
+        out.put(",\"dur\":");
+        out.num(dur);
+        out.put(",\"args\":{\"");
+        out.put(key);
+        out.put("\":");
+        out.num(value);
+        if (error) {
+            out.put(",\"error\":\"");
+            out.put(*error);
+            out.put('"');
+        }
+        out.put("}}");
+    }
+
+    void
+    instant(std::string_view name, int tid, SimTime ts,
+            std::int64_t scope)
+    {
+        begin();
+        out.put("{\"name\":\"");
+        out.put(name);
+        out.put("\",\"cat\":\"marker\",\"ph\":\"i\",\"s\":\"t\","
+                "\"pid\":1,\"tid\":");
+        out.num(tid);
+        out.put(",\"ts\":");
+        out.num(ts);
+        out.put(",\"args\":{\"scope\":");
+        out.num(scope);
+        out.put("}}");
+    }
+
+    void
+    counter(std::string_view name, SimTime ts, std::int64_t value)
+    {
+        begin();
+        out.put("{\"name\":\"");
+        out.put(name);
+        out.put("\",\"cat\":\"counter\",\"ph\":\"C\",\"pid\":1,\"ts\":");
+        out.num(ts);
+        out.put(",\"args\":{\"value\":");
+        out.num(value);
+        out.put("}}");
+    }
+
+  private:
+    void
+    begin()
+    {
+        if (!first)
+            out.put(",\n");
+        first = false;
+    }
+
+    Sink &out;
+    bool first = true;
+};
+
 /** One op's records, regrouped from the flat ring. */
 struct TaskGroup
 {
@@ -57,66 +253,6 @@ struct TaskGroup
     SpanRecord op{};
     std::vector<SpanRecord> slices; ///< phases + sub-phase details
 };
-
-/** Emitter that owns the output string and the comma state. */
-class Json
-{
-  public:
-    Json() { out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"; }
-
-    void
-    event(const std::string &body)
-    {
-        if (!first)
-            out += ",\n";
-        first = false;
-        out += body;
-    }
-
-    std::string
-    finish()
-    {
-        out += "\n]}\n";
-        return std::move(out);
-    }
-
-  private:
-    std::string out;
-    bool first = true;
-};
-
-std::string
-completeEvent(const std::string &name, const std::string &cat, int tid,
-              SimTime ts, SimDuration dur, const std::string &args)
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\","
-                  "\"pid\":1,\"tid\":%d,\"ts\":%" PRId64
-                  ",\"dur\":%" PRId64,
-                  jsonEscape(name).c_str(), cat.c_str(), tid,
-                  static_cast<std::int64_t>(ts),
-                  static_cast<std::int64_t>(dur));
-    std::string s = buf;
-    if (!args.empty()) {
-        s += ",\"args\":{";
-        s += args;
-        s += "}";
-    }
-    s += "}";
-    return s;
-}
-
-std::string
-threadName(int tid, const std::string &name)
-{
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-                  "\"tid\":%d,\"args\":{\"name\":\"%s\"}}",
-                  tid, jsonEscape(name).c_str());
-    return buf;
-}
 
 /**
  * Greedy lane assignment: intervals sorted by start; a lane is
@@ -157,27 +293,26 @@ assignLanes(const std::vector<std::pair<SimTime, SimTime>> &intervals,
     return static_cast<std::size_t>(next_lane);
 }
 
-const char *
-lookupName(const std::vector<std::string> &table, std::size_t idx,
-           const char *fallback)
+/**
+ * The one emitter behind both entry points.  Walks the ring twice
+ * without copying it: pass 1 regroups op-scoped records, named spans
+ * and instants (the only records held in memory); pass 2 streams the
+ * counter samples in ring order.
+ */
+void
+emitPerfetto(const SpanTracer &tracer, Sink &sink)
 {
-    return idx < table.size() ? table[idx].c_str() : fallback;
-}
+    const TraceRing &ring = tracer.ring();
+    const std::vector<std::string> op_names =
+        escapeAll(tracer.opNames());
+    const std::vector<std::string> phase_names =
+        escapeAll(tracer.phaseNames());
+    const std::vector<std::string> error_names =
+        escapeAll(tracer.errorNames());
+    const std::vector<std::string> interned =
+        escapeAll(tracer.internedNames());
 
-} // namespace
-
-std::string
-exportPerfettoJson(const SpanTracer &tracer)
-{
-    const std::vector<SpanRecord> records = tracer.ring().snapshot();
-    const auto &op_names = tracer.opNames();
-    const auto &phase_names = tracer.phaseNames();
-    const auto &error_names = tracer.errorNames();
-    const auto &interned = tracer.internedNames();
-
-    Json json;
-    json.event("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-               "\"args\":{\"name\":\"vcpsim\"}}");
+    Json json(sink);
 
     // Regroup op-scoped records by task id (ring order is time order,
     // so groups keep their internal ordering).
@@ -185,9 +320,8 @@ exportPerfettoJson(const SpanTracer &tracer)
     std::vector<std::int64_t> task_order;
     std::map<std::uint16_t, std::vector<SpanRecord>> named_spans;
     std::vector<SpanRecord> instants;
-    std::vector<SpanRecord> counters;
 
-    for (const SpanRecord &r : records) {
+    ring.forEach([&](const SpanRecord &r) {
         switch (r.kind) {
           case SpanKind::Op:
           case SpanKind::Phase:
@@ -215,10 +349,9 @@ exportPerfettoJson(const SpanTracer &tracer)
             instants.push_back(r);
             break;
           case SpanKind::Counter:
-            counters.push_back(r);
             break;
         }
-    }
+    });
 
     // Op lanes: tids 1..N.
     std::vector<std::pair<SimTime, SimTime>> intervals;
@@ -227,34 +360,28 @@ exportPerfettoJson(const SpanTracer &tracer)
         intervals.emplace_back(tasks[id].start, tasks[id].end);
     std::vector<int> lane_of;
     std::size_t op_lanes = assignLanes(intervals, lane_of);
-    for (std::size_t l = 0; l < op_lanes; ++l) {
-        json.event(threadName(static_cast<int>(l) + 1,
-                              "ops " + std::to_string(l)));
-    }
+    for (std::size_t l = 0; l < op_lanes; ++l)
+        json.threadName(static_cast<int>(l) + 1, "ops",
+                        static_cast<std::int64_t>(l));
     for (std::size_t i = 0; i < task_order.size(); ++i) {
         const TaskGroup &g = tasks[task_order[i]];
         int tid = lane_of[i] + 1;
-        char args[96];
         if (g.has_op) {
-            std::snprintf(args, sizeof(args),
-                          "\"task\":%" PRId64 ",\"error\":\"%s\"",
-                          g.op.scope,
-                          lookupName(error_names, g.op.name, "?"));
-            json.event(completeEvent(
-                lookupName(op_names, g.op.op, "op"), "op", tid,
-                g.op.start, g.op.duration, args));
+            std::string_view error =
+                lookupName(error_names, g.op.name, "?");
+            json.complete(lookupName(op_names, g.op.op, "op"), "op", tid,
+                          g.op.start, g.op.duration, "task", g.op.scope,
+                          &error);
         }
         for (const SpanRecord &s : g.slices) {
-            std::snprintf(args, sizeof(args), "\"task\":%" PRId64,
-                          s.scope);
             if (s.kind == SpanKind::Phase) {
-                json.event(completeEvent(
-                    lookupName(phase_names, s.name, "phase"), "phase",
-                    tid, s.start, s.duration, args));
+                json.complete(lookupName(phase_names, s.name, "phase"),
+                              "phase", tid, s.start, s.duration, "task",
+                              s.scope);
             } else {
-                json.event(completeEvent(
-                    lookupName(interned, s.name, "detail"), "detail",
-                    tid, s.start, s.duration, args));
+                json.complete(lookupName(interned, s.name, "detail"),
+                              "detail", tid, s.start, s.duration, "task",
+                              s.scope);
             }
         }
     }
@@ -266,69 +393,73 @@ exportPerfettoJson(const SpanTracer &tracer)
         for (const SpanRecord &s : spans)
             intervals.emplace_back(s.start, s.start + s.duration);
         std::size_t lanes = assignLanes(intervals, lane_of);
-        const char *base = lookupName(interned, name_id, "span");
+        std::string_view base = lookupName(interned, name_id, "span");
         for (std::size_t l = 0; l < lanes; ++l) {
-            std::string label = lanes > 1
-                ? std::string(base) + " " + std::to_string(l)
-                : std::string(base);
-            json.event(
-                threadName(next_tid + static_cast<int>(l), label));
+            json.threadName(next_tid + static_cast<int>(l), base,
+                            lanes > 1 ? static_cast<std::int64_t>(l)
+                                      : -1);
         }
         for (std::size_t i = 0; i < spans.size(); ++i) {
-            char args[64];
-            std::snprintf(args, sizeof(args), "\"scope\":%" PRId64,
+            json.complete(base, "span", next_tid + lane_of[i],
+                          spans[i].start, spans[i].duration, "scope",
                           spans[i].scope);
-            json.event(completeEvent(base, "span",
-                                     next_tid + lane_of[i],
-                                     spans[i].start,
-                                     spans[i].duration, args));
         }
         next_tid += static_cast<int>(lanes);
     }
 
     // Instants share one marker track.
     if (!instants.empty()) {
-        json.event(threadName(next_tid, "markers"));
-        for (const SpanRecord &r : instants) {
-            char buf[224];
-            std::snprintf(
-                buf, sizeof(buf),
-                "{\"name\":\"%s\",\"cat\":\"marker\",\"ph\":\"i\","
-                "\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%" PRId64
-                ",\"args\":{\"scope\":%" PRId64 "}}",
-                jsonEscape(lookupName(interned, r.name, "marker"))
-                    .c_str(),
-                next_tid, static_cast<std::int64_t>(r.start), r.scope);
-            json.event(buf);
-        }
+        json.threadName(next_tid, "markers");
+        for (const SpanRecord &r : instants)
+            json.instant(lookupName(interned, r.name, "marker"), next_tid,
+                         r.start, r.scope);
         ++next_tid;
     }
 
     // Counter samples become "C" tracks keyed by name.
-    for (const SpanRecord &r : counters) {
-        char buf[224];
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"name\":\"%s\",\"cat\":\"counter\",\"ph\":\"C\","
-            "\"pid\":1,\"ts\":%" PRId64
-            ",\"args\":{\"value\":%" PRId64 "}}",
-            jsonEscape(lookupName(interned, r.name, "counter")).c_str(),
-            static_cast<std::int64_t>(r.start), r.duration);
-        json.event(buf);
-    }
+    ring.forEach([&](const SpanRecord &r) {
+        if (r.kind == SpanKind::Counter)
+            json.counter(lookupName(interned, r.name, "counter"), r.start,
+                         r.duration);
+    });
 
-    return json.finish();
+    json.finish();
+    sink.flush();
+}
+
+} // namespace
+
+std::string
+exportPerfettoJson(const SpanTracer &tracer)
+{
+    std::string out;
+    Sink sink(out);
+    emitPerfetto(tracer, sink);
+    return out;
 }
 
 bool
 writePerfettoJson(const SpanTracer &tracer, const std::string &path)
 {
-    std::ofstream out(path);
-    if (!out) {
+    struct Closer
+    {
+        void operator()(std::FILE *f) const { std::fclose(f); }
+    };
+    std::unique_ptr<std::FILE, Closer> f(std::fopen(path.c_str(), "wb"));
+    if (!f) {
         warnTagged("trace", "cannot write %s", path.c_str());
         return false;
     }
-    out << exportPerfettoJson(tracer);
+    // The sink buffers; stdio would only copy each chunk again.
+    std::setvbuf(f.get(), nullptr, _IONBF, 0);
+    Sink sink(f.get());
+    emitPerfetto(tracer, sink);
+    bool ok = !std::ferror(f.get());
+    ok &= std::fclose(f.release()) == 0;
+    if (!ok) {
+        warnTagged("trace", "write to %s failed", path.c_str());
+        return false;
+    }
     if (tracer.ring().dropped() > 0) {
         warnTagged("trace",
                    "ring wrapped; %llu oldest records dropped "

@@ -14,6 +14,10 @@
  * sub-phase slices properly nested inside.  Cloud-level spans
  * (deploys, rebalance passes, lock waits) get per-name lane groups,
  * and counter samples become "C" counter tracks.
+ *
+ * Both entry points run one emitter that walks the ring in place and
+ * writes through a fixed buffer, so they produce the same bytes; the
+ * file export never copies the ring or holds the whole text.
  */
 
 #ifndef VCP_TRACE_PERFETTO_HH
@@ -29,8 +33,9 @@ namespace vcp {
 std::string exportPerfettoJson(const SpanTracer &tracer);
 
 /**
- * Write the JSON to @p path.
- * @return false (with a warning) if the file cannot be written.
+ * Stream the JSON to @p path.
+ * @return false (with a warning) if the file cannot be opened or a
+ *         write fails (e.g. the disk is full).
  */
 bool writePerfettoJson(const SpanTracer &tracer,
                        const std::string &path);

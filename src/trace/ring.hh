@@ -96,7 +96,7 @@ class TraceRing
         // read-for-ownership on every cold line).  Slots are 32 bytes
         // and the heap block is 16-byte aligned, so two 16-byte
         // streaming stores cover one record.  Single-threaded use:
-        // same-core loads (snapshot) see the data without fencing.
+        // same-core loads (forEach) see the data without fencing.
         auto *dst = reinterpret_cast<__m128i *>(&slots[head]);
         auto *src = reinterpret_cast<const __m128i *>(&r);
         _mm_stream_si128(dst, _mm_loadu_si128(src));
@@ -126,18 +126,29 @@ class TraceRing
 
     std::size_t capacity() const { return slots.size(); }
 
+    /** Visit the live records in place, oldest first. */
+    template <class F>
+    void
+    forEach(F &&f) const
+    {
+        if (wrapped) {
+            for (std::size_t i = head; i < slots.size(); ++i)
+                f(slots[i]);
+        }
+        for (std::size_t i = 0; i < head; ++i)
+            f(slots[i]);
+    }
+
     /**
-     * Copy out the live records, oldest first.  Export-time only —
-     * allocation is fine here.
+     * Copy out the live records, oldest first.  Test and inspection
+     * use; the export walks the ring with forEach() instead.
      */
     std::vector<SpanRecord>
     snapshot() const
     {
         std::vector<SpanRecord> out;
         out.reserve(size());
-        if (wrapped)
-            out.insert(out.end(), slots.begin() + head, slots.end());
-        out.insert(out.end(), slots.begin(), slots.begin() + head);
+        forEach([&](const SpanRecord &r) { out.push_back(r); });
         return out;
     }
 

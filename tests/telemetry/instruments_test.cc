@@ -112,6 +112,31 @@ TEST(DecayingGauge, EwmaDecaysTowardNewLevel)
     EXPECT_EQ(g.samples(), 2u);
 }
 
+TEST(DecayingGauge, EwmaExactAcrossChangingGaps)
+{
+    // Repeated, changed, zero and returning gaps: the weight cached
+    // per gap must give the bits a fresh exp() per sample gives.
+    const double tau = 10.0;
+    DecayingGauge g(seconds(10));
+    double ref = 0.0;
+    SimTime t = 0;
+    int i = 0;
+    for (SimDuration gap : {0L, 100'000L, 100'000L, 300'000L, 0L,
+                            100'000L, 100'000L}) {
+        t += gap;
+        double v = static_cast<double>((i++ * 37) % 11);
+        if (i == 1) {
+            ref = v;
+        } else {
+            double dt = toSeconds(gap);
+            double alpha = dt > 0 ? 1.0 - std::exp(-dt / tau) : 0.0;
+            ref += alpha * (v - ref);
+        }
+        g.sample(t, v);
+        EXPECT_EQ(g.ewma(), ref) << "sample " << i;
+    }
+}
+
 TEST(DecayingGauge, EmptyGaugeReadsZero)
 {
     DecayingGauge g;

@@ -1,12 +1,15 @@
 /**
  * @file
  * Perfetto trace_event export tests: envelope shape, event kinds,
- * name escaping, and lane packing for overlapping spans.
+ * name escaping, lane packing for overlapping spans, the exact byte
+ * format, and agreement between the string and file entry points.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "sim/logging.hh"
@@ -24,6 +27,15 @@ countOccurrences(const std::string &hay, const std::string &needle)
          at = hay.find(needle, at + needle.size()))
         ++n;
     return n;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
 }
 
 void
@@ -145,6 +157,137 @@ TEST(PerfettoExport, WriteToFileRoundTrips)
     std::fclose(f);
     EXPECT_EQ(std::string(buf).rfind("{\"displayTimeUnit\"", 0), 0u);
     std::remove(path.c_str());
+}
+
+TEST(PerfettoExport, GoldenTinyTrace)
+{
+    SpanTracer t;
+    setTestAxes(t);
+    std::uint16_t copy = t.intern("copy");
+    std::uint16_t deploy = t.intern("vapp.deploy");
+    std::uint16_t mark = t.intern("placement-fail");
+    std::uint16_t gauge = t.intern("api.queue");
+    t.recordPhase(1, 0, 7, 100, 50);
+    t.ring().push({150, 20, 7, copy, SpanKind::Sub, 1, {}});
+    t.recordOp(1, 1, 7, 100, 300);
+    t.recordSpan(deploy, 3, 1000, 500);
+    t.recordInstant(mark, 4, 1200);
+    t.recordCounter(gauge, 1300, -17);
+
+    const char *golden = R"json({"displayTimeUnit":"ms","traceEvents":[
+{"name":"process_name","ph":"M","pid":1,"args":{"name":"vcpsim"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"ops 0"}},
+{"name":"clone-full","cat":"op","ph":"X","pid":1,"tid":1,"ts":100,"dur":300,"args":{"task":7,"error":"oops"}},
+{"name":"api","cat":"phase","ph":"X","pid":1,"tid":1,"ts":100,"dur":50,"args":{"task":7}},
+{"name":"copy","cat":"detail","ph":"X","pid":1,"tid":1,"ts":150,"dur":20,"args":{"task":7}},
+{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"vapp.deploy"}},
+{"name":"vapp.deploy","cat":"span","ph":"X","pid":1,"tid":2,"ts":1000,"dur":500,"args":{"scope":3}},
+{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"markers"}},
+{"name":"placement-fail","cat":"marker","ph":"i","s":"t","pid":1,"tid":3,"ts":1200,"args":{"scope":4}},
+{"name":"api.queue","cat":"counter","ph":"C","pid":1,"ts":1300,"args":{"value":-17}}
+]}
+)json";
+    EXPECT_EQ(exportPerfettoJson(t), golden);
+}
+
+/** A tracer holding every SpanKind, counters between op records. */
+void
+recordMixed(SpanTracer &t, int ops)
+{
+    std::uint16_t hop = t.intern("hop:core");
+    std::uint16_t deploy = t.intern("vapp.deploy");
+    std::uint16_t mark = t.intern("placement-fail");
+    std::uint16_t gauge = t.intern("api.queue");
+    for (int i = 0; i < ops; ++i) {
+        SimTime at = i * 40;
+        t.recordCounter(gauge, at, i);
+        t.recordPhase(0, 1, i, at, 30);
+        t.ring().push({at + 5, 10, i, hop, SpanKind::Sub, 0, {}});
+        t.recordCounter(gauge, at + 20, -i);
+        t.recordOp(0, i % 2, i, at, 60);
+        t.recordSpan(deploy, i, at + 10, 70);
+        t.recordInstant(mark, i, at + 15);
+    }
+}
+
+TEST(PerfettoExport, StringAndFileExportsAreByteIdentical)
+{
+    // Capacity 8 keeps the last op with its two counters between its
+    // records; 4096 wraps mid-op (orphaned slices) and its output
+    // spans more than one 64 KiB write buffer.
+    for (std::size_t cap : {std::size_t{8}, std::size_t{4096}}) {
+        SpanTracer t(TracerConfig{cap, true});
+        setTestAxes(t);
+        recordMixed(t, 1000);
+        ASSERT_GT(t.ring().dropped(), 0u);
+
+        std::string json = exportPerfettoJson(t);
+        std::string path =
+            ::testing::TempDir() + "vcp_perfetto_identity.json";
+        setLogQuiet(true);
+        ASSERT_TRUE(writePerfettoJson(t, path));
+        setLogQuiet(false);
+        EXPECT_EQ(readFile(path), json) << "capacity " << cap;
+        std::remove(path.c_str());
+
+        // Counters come after every other event, in ring order.
+        std::size_t first_counter = json.find("\"ph\":\"C\"");
+        ASSERT_NE(first_counter, std::string::npos);
+        EXPECT_EQ(json.find("\"ph\":\"X\"", first_counter),
+                  std::string::npos);
+        EXPECT_EQ(json.find("\"ph\":\"i\"", first_counter),
+                  std::string::npos);
+        EXPECT_EQ(countOccurrences(json, "{"),
+                  countOccurrences(json, "}"));
+
+        if (cap == 8) {
+            EXPECT_EQ(countOccurrences(json, "\"ph\":\"C\""), 2u);
+            std::size_t up = json.find("\"value\":999}");
+            std::size_t down = json.find("\"value\":-999}");
+            ASSERT_NE(up, std::string::npos);
+            ASSERT_NE(down, std::string::npos);
+            EXPECT_LT(up, down);
+        } else {
+            EXPECT_GT(json.size(), std::size_t{1} << 16);
+        }
+    }
+}
+
+TEST(PerfettoExport, LongNamesAreEscapedInFull)
+{
+    SpanTracer t;
+    t.setAxes({"power-on"}, {"api"}, {"none", "bad \"quote\""});
+    std::string raw = std::string(199, 'a') + "\"" +
+                      std::string(100, 'b') + "\\" +
+                      std::string(99, 'c');
+    ASSERT_EQ(raw.size(), 400u);
+    std::string escaped = std::string(199, 'a') + "\\\"" +
+                          std::string(100, 'b') + "\\\\" +
+                          std::string(99, 'c');
+    std::uint16_t id = t.intern(raw);
+    t.recordSpan(id, 1, 10, 5);
+    t.recordInstant(id, 2, 20);
+    t.recordCounter(id, 30, 4);
+    t.recordOp(0, 1, 9, 0, 40);
+    std::string json = exportPerfettoJson(t);
+
+    // Lane label, span event, instant and counter each carry it.
+    EXPECT_EQ(countOccurrences(json, "\"" + escaped + "\""), 4u);
+    EXPECT_EQ(json.find(raw), std::string::npos);
+    EXPECT_NE(json.find("\"error\":\"bad \\\"quote\\\"\""),
+              std::string::npos);
+    EXPECT_EQ(countOccurrences(json, "{"), countOccurrences(json, "}"));
+}
+
+TEST(PerfettoExport, FullDiskReportsFailure)
+{
+    SpanTracer t;
+    setTestAxes(t);
+    t.recordOp(0, 0, 1, 0, 100);
+    setLogQuiet(true);
+    bool ok = writePerfettoJson(t, "/dev/full");
+    setLogQuiet(false);
+    EXPECT_FALSE(ok);
 }
 
 TEST(PerfettoExport, UnwritablePathReportsFailure)

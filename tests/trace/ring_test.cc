@@ -1,6 +1,6 @@
 /**
  * @file
- * TraceRing unit tests: push/wrap/snapshot semantics and the
+ * TraceRing unit tests: push/wrap/snapshot/forEach semantics and the
  * hot-path guard macro.
  */
 
@@ -109,6 +109,27 @@ TEST(TraceRing, ClearForgetsRecordsKeepsCapacity)
     auto snap = ring.snapshot();
     ASSERT_EQ(snap.size(), 1u);
     EXPECT_EQ(snap[0].scope, 99);
+}
+
+TEST(TraceRing, ForEachVisitsWhatSnapshotCopies)
+{
+    // Empty, partially filled, exactly full, and wrapped (twice over).
+    for (int pushes : {0, 3, 5, 13}) {
+        TraceRing ring(5);
+        for (int i = 0; i < pushes; ++i)
+            ring.push(rec(i, i));
+        std::vector<std::int64_t> visited;
+        ring.forEach(
+            [&](const SpanRecord &r) { visited.push_back(r.scope); });
+        std::vector<std::int64_t> copied;
+        for (const SpanRecord &r : ring.snapshot())
+            copied.push_back(r.scope);
+        EXPECT_EQ(visited, copied) << pushes << " pushes";
+        ASSERT_EQ(visited.size(), ring.size());
+        if (!visited.empty()) {
+            EXPECT_EQ(visited.back(), pushes - 1);
+        }
+    }
 }
 
 TEST(TraceRing, GuardMacroTracksPointerAndEnable)

@@ -212,6 +212,11 @@ writeFile(const std::string &path, const std::string &content)
         return false;
     }
     out << content;
+    out.flush();
+    if (!out.good()) {
+        std::fprintf(stderr, "write to %s failed\n", path.c_str());
+        return false;
+    }
     return true;
 }
 
@@ -665,11 +670,15 @@ vcpsimMain(int argc, char **argv)
         std::printf("\nper-phase latency percentiles "
                     "(span-sourced):\n%s",
                     spanBreakdownTable(*tracer).toText().c_str());
-        ok &= writePerfettoJson(*tracer, trace_out);
-        std::printf("\ntrace: %llu records (%llu dropped) -> %s\n",
-                    (unsigned long long)tracer->ring().totalRecorded(),
-                    (unsigned long long)tracer->ring().dropped(),
-                    trace_out.c_str());
+        if (writePerfettoJson(*tracer, trace_out)) {
+            std::printf(
+                "\ntrace: %llu records (%llu dropped) -> %s\n",
+                (unsigned long long)tracer->ring().totalRecorded(),
+                (unsigned long long)tracer->ring().dropped(),
+                trace_out.c_str());
+        } else {
+            ok = false;
+        }
     }
     if (!dump_ops.empty())
         ok &= writeFile(dump_ops, cs.driver().ops().toCsv());
