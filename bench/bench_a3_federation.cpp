@@ -31,8 +31,10 @@ struct FedPoint
 /**
  * Run one federation point.  With @p exec_shards > 1 the share-
  * nothing stacks are bound to a ShardedSimulator and executed by
- * real threads (Threaded mode) — the intra-run parallel path whose
- * results the federation identity tests pin to the merge oracle.
+ * real threads (Threaded mode: one worker per execution shard,
+ * forked and joined per runUntil()) — the intra-run parallel path
+ * whose results the federation identity tests pin to the merge
+ * oracle.
  */
 FedPoint
 run(int shards, int burst, int exec_shards, std::uint64_t seed)

@@ -181,7 +181,7 @@ BENCHMARK(BM_HistogramAddQuantile);
 
 /** Per-shard self-perpetuating load for the sharded-kernel bench:
  *  a chain of local events that posts to the next shard every 64th
- *  step (cross traffic honours the engine lookahead). */
+ *  step. */
 struct ShardPump
 {
     ShardedSimulator *eng = nullptr;
@@ -209,21 +209,13 @@ struct ShardPump
 void
 BM_ShardedKernelPump(benchmark::State &state)
 {
-    // args: {shards, threaded}.  Merge rows measure the engine's
-    // determinism-preserving overhead vs BM_EventScheduleRun;
-    // threaded rows measure real-thread conservative execution
-    // (speedup needs cores — on a single-CPU host they document the
-    // round-protocol cost instead).
+    // args: {shards, 0} — merge-mode rows measuring the engine's
+    // determinism-preserving overhead vs BM_EventScheduleRun.  The
+    // trailing 0 keeps the row names of BENCH_kernel.json.
     const int shards = static_cast<int>(state.range(0));
-    const bool threaded = state.range(1) != 0;
     const int per_shard = 20000;
     for (auto _ : state) {
-        ShardedSimulator::Options o;
-        o.mode = threaded ? ShardExecMode::Threaded
-                          : ShardExecMode::Merge;
-        o.lookahead = 100;
-        o.collect_windows = false;
-        ShardedSimulator eng(shards, 1, o);
+        ShardedSimulator eng(shards, 1);
         std::vector<ShardPump> pumps(
             static_cast<std::size_t>(shards));
         for (int s = 0; s < shards; ++s) {
@@ -242,10 +234,7 @@ BM_ShardedKernelPump(benchmark::State &state)
 BENCHMARK(BM_ShardedKernelPump)
     ->Args({1, 0})
     ->Args({4, 0})
-    ->Args({8, 0})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->Args({8, 1});
+    ->Args({8, 0});
 
 void
 BM_SharedBandwidthChurn(benchmark::State &state)

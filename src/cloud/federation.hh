@@ -54,12 +54,12 @@ struct FederationConfig
      * server, agents, datastore slots, director — to execution shard
      * s % engine->numShards(), and the Simulator passed to the
      * constructor is ignored for shard construction.  Because the
-     * shards share nothing, the partition is shard-closed and the
-     * engine may run Threaded; each shard then records into its own
-     * StatRegistry (see shardStats()) so counters never race.  The
-     * constructor declares every engine shard closed
-     * (ShardedSimulator::kNoSends), so a Threaded runUntil() takes a
-     * single round; nothing in a federation may post() across shards.
+     * shards share nothing, every execution shard is closed and the
+     * engine may run Threaded: each runUntil() forks one worker per
+     * execution shard and joins them.  Each federation shard then
+     * records into its own StatRegistry (see shardStats()) so
+     * counters never race.  Nothing in a federation may post()
+     * across shards.
      */
     ShardedSimulator *engine = nullptr;
 };

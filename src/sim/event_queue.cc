@@ -38,15 +38,8 @@ EventQueue::releaseSlot(std::uint32_t s)
 EventId
 EventQueue::push(SimTime when, int priority, InlineAction action)
 {
-    std::uint64_t n = ext_seq ? (*ext_seq)++ : next_seq++;
-    return pushSeq(when, priority, static_cast<std::uint32_t>(n),
-                   std::move(action));
-}
-
-EventId
-EventQueue::pushSeq(SimTime when, int priority, std::uint32_t seq,
-                    InlineAction action)
-{
+    auto seq = static_cast<std::uint32_t>(
+        ext_seq ? (*ext_seq)++ : next_seq++);
     if (priority < -kPrioBias || priority >= kPrioBias)
         panic("EventQueue::push: priority %d out of 16-bit range",
               priority);

@@ -77,17 +77,6 @@ class EventQueue
     EventId push(SimTime when, int priority, InlineAction action);
 
     /**
-     * Insert an event with an explicit 32-bit tie-break sequence
-     * instead of drawing from the insertion counter.  The sharded
-     * kernel uses this for cross-shard deliveries: their keys encode
-     * (source shard, source sequence) so ties at equal (time,
-     * priority) resolve identically on every run regardless of
-     * mailbox arrival timing.  The caller owns key uniqueness.
-     */
-    EventId pushSeq(SimTime when, int priority, std::uint32_t seq,
-                    InlineAction action);
-
-    /**
      * Draw push() sequence numbers from @p counter instead of the
      * queue's private one.  Sharing one counter across the per-shard
      * queues of a deterministic-merge run reproduces the serial

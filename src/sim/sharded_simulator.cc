@@ -1,9 +1,10 @@
 #include "sim/sharded_simulator.hh"
 
-#include <algorithm>
 #include <barrier>
 #include <chrono>
+#include <exception>
 #include <thread>
+#include <utility>
 
 #include "sim/logging.hh"
 #include "sim/parallel_sweep.hh"
@@ -14,17 +15,6 @@ namespace {
 
 /** Executing shard of this thread (post() routing and assertions). */
 thread_local ShardId tls_shard = ~ShardId(0);
-
-/** Trace-lane window cap per shard (16 B each). */
-constexpr std::size_t kMaxWindowsPerShard = 16384;
-
-/** t + d for a lookahead d >= 0, saturating at kMaxSimTime (a closed
- *  shard's kNoSends lookahead must not overflow). */
-SimTime
-saturatingAdd(SimTime t, SimDuration d)
-{
-    return t > kMaxSimTime - d ? kMaxSimTime : t + d;
-}
 
 } // namespace
 
@@ -51,8 +41,8 @@ ShardedSimulator::ShardedSimulator(int num_shards, std::uint64_t seed,
     if (num_shards < 1)
         num_shards = 1;
     if (num_shards > 128)
-        panic("ShardedSimulator: %d shards exceeds the 7-bit "
-              "cross-shard key budget (max 128)",
+        panic("ShardedSimulator: %d shards exceeds the limit of 128 "
+              "(a threaded run starts one worker per shard)",
               num_shards);
     shards_.reserve(static_cast<std::size_t>(num_shards));
     for (int s = 0; s < num_shards; ++s) {
@@ -66,13 +56,6 @@ ShardedSimulator::ShardedSimulator(int num_shards, std::uint64_t seed,
         auto sh = std::make_unique<Shard>(sh_seed);
         sh->sim.shard_id = static_cast<ShardId>(s);
         sh->sim.owner = this;
-        sh->lookahead = opts_.lookahead;
-        sh->inbox.reserve(static_cast<std::size_t>(num_shards));
-        for (int src = 0; src < num_shards; ++src)
-            sh->inbox.push_back(
-                std::make_unique<SpscMailbox<CrossEvent>>(
-                    opts_.mailbox_capacity));
-        sh->edge_seq.assign(static_cast<std::size_t>(num_shards), 0);
         shards_.push_back(std::move(sh));
     }
     if (opts_.mode == ShardExecMode::Merge) {
@@ -101,22 +84,6 @@ ShardedSimulator::shard(ShardId s) const
         panic("ShardedSimulator::shard: %u out of range (%d shards)",
               s, numShards());
     return shards_[s]->sim;
-}
-
-void
-ShardedSimulator::setLookahead(ShardId s, SimDuration la)
-{
-    if (running_.load())
-        panic("ShardedSimulator::setLookahead while running");
-    if (la < 0)
-        panic("ShardedSimulator::setLookahead: negative lookahead");
-    shards_.at(s)->lookahead = la;
-}
-
-SimDuration
-ShardedSimulator::lookahead(ShardId s) const
-{
-    return shards_.at(s)->lookahead;
 }
 
 ShardId
@@ -149,16 +116,6 @@ ShardedSimulator::shardStats(ShardId s) const
     return shards_.at(s)->stats;
 }
 
-std::size_t
-ShardedSimulator::mailboxBacklog(ShardId s) const
-{
-    std::size_t n = 0;
-    for (const auto &mb : shards_.at(s)->inbox)
-        if (mb)
-            n += mb->approxSize();
-    return n;
-}
-
 void
 ShardedSimulator::stop()
 {
@@ -173,69 +130,16 @@ ShardedSimulator::post(ShardId src, ShardId dst, SimTime when,
         panic("ShardedSimulator::post: shard out of range "
               "(src %u, dst %u of %d)",
               src, dst, numShards());
-    Shard &s = *shards_[src];
-    Shard &d = *shards_[dst];
-    bool threaded_run = running_.load(std::memory_order_relaxed) &&
-                        opts_.mode == ShardExecMode::Threaded;
-    if (src != dst && s.lookahead == kNoSends)
-        panic("ShardedSimulator::post: shard %u is closed (kNoSends) "
-              "but sent to shard %u",
-              src, dst);
-    if (src != dst && when < saturatingAdd(s.sim.now(), s.lookahead))
-        panic("ShardedSimulator::post: send from shard %u (now %lld) "
-              "for %lld violates its lookahead promise of %lld",
-              src, static_cast<long long>(s.sim.now()),
-              static_cast<long long>(when),
-              static_cast<long long>(s.lookahead));
-    if (!threaded_run || src == dst) {
-        // Single-threaded contexts — merge execution, pre-run setup,
-        // post-run work, or a shard's own queue: schedule directly;
-        // the regular insertion counter is already deterministic.
-        if (src != dst) {
-            ++s.stats.cross_sent;
-            ++d.stats.cross_received;
-        }
-        d.sim.scheduleAt(when, std::move(action), priority);
-        return;
+    if (src != dst) {
+        if (running_.load(std::memory_order_relaxed) &&
+            opts_.mode == ShardExecMode::Threaded)
+            panic("ShardedSimulator::post: shard %u sent to shard %u "
+                  "during a threaded run (threaded shards are closed)",
+                  src, dst);
+        ++shards_[src]->stats.cross_sent;
+        ++shards_[dst]->stats.cross_received;
     }
-    if (tls_shard != src)
-        panic("ShardedSimulator::post: shard %u is not the executing "
-              "shard of this thread",
-              src);
-    std::uint32_t seq = s.edge_seq[dst]++;
-    if (seq >= (1u << 24))
-        panic("ShardedSimulator::post: edge %u->%u exhausted its "
-              "24-bit sequence space",
-              src, dst);
-    CrossEvent ev;
-    ev.when = when;
-    ev.priority = priority;
-    ev.seq = seq;
-    ev.action = std::move(action);
-    ++s.stats.cross_sent;
-    d.inbox[src]->push(std::move(ev));
-}
-
-std::uint64_t
-ShardedSimulator::drainInboxes(Shard &sh)
-{
-    std::uint64_t n = 0;
-    for (ShardId src = 0; src < shards_.size(); ++src) {
-        if (src == sh.sim.shard_id)
-            continue;
-        SpscMailbox<CrossEvent> &box = *sh.inbox[src];
-        CrossEvent ev;
-        while (box.pop(ev)) {
-            // scheduleCross panics if `when` is in this shard's past
-            // — exactly a violated lookahead promise.
-            sh.sim.scheduleCross(ev.when, ev.priority,
-                                 crossSeq(src, ev.seq),
-                                 std::move(ev.action));
-            ++n;
-        }
-    }
-    sh.stats.cross_received += n;
-    return n;
+    shards_[dst]->sim.scheduleAt(when, std::move(action), priority);
 }
 
 void
@@ -359,19 +263,26 @@ void
 ShardedSimulator::runThreadedUntil(SimTime until)
 {
     const std::size_t K = shards_.size();
-    for (auto &sh : shards_) {
+    for (auto &sh : shards_)
         sh->sim.stopping = false;
-        sh->bound.store(sh->sim.now(), std::memory_order_relaxed);
-    }
-    std::barrier<> bar(static_cast<std::ptrdiff_t>(K));
+    std::barrier<> done(static_cast<std::ptrdiff_t>(K));
     std::vector<std::thread> threads;
     threads.reserve(K - 1);
     for (ShardId s = 1; s < K; ++s)
         threads.emplace_back(
-            [this, s, until, &bar] { worker(s, until, bar); });
-    worker(0, until, bar);
+            [this, s, until, &done] { worker(s, until, done); });
+    worker(0, until, done);
     for (std::thread &t : threads)
         t.join();
+    // An event that threw on a worker (say, a panicking cross-shard
+    // post) ends the run and resurfaces here, on the caller's thread.
+    for (auto &sh : shards_) {
+        if (sh->error) {
+            std::exception_ptr e = std::exchange(sh->error, nullptr);
+            running_.store(false);
+            std::rethrow_exception(e);
+        }
+    }
     // A drain run (until == kMaxSimTime) leaves each clock at its
     // shard's last event, matching serial run() semantics.
     if (until != kMaxSimTime && !stopping_.load())
@@ -380,109 +291,36 @@ ShardedSimulator::runThreadedUntil(SimTime until)
 }
 
 void
-ShardedSimulator::worker(ShardId s, SimTime until, std::barrier<> &bar)
+ShardedSimulator::worker(ShardId s, SimTime until, std::barrier<> &done)
 {
     Shard &sh = *shards_[s];
-    const std::size_t K = shards_.size();
     tls_shard = s;
-    // Wall-clock time parked at round barriers, attributed to this
-    // shard — the telemetry export's load-imbalance signal.
-    auto timedBarrier = [&sh, &bar] {
-        auto t0 = std::chrono::steady_clock::now();
-        bar.arrive_and_wait();
-        auto dt = std::chrono::steady_clock::now() - t0;
-        sh.stats.barrier_wait_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-                .count());
-    };
-    for (;;) {
-        // (1) Adopt every delivery from the last window, then
-        // (2) publish this shard's send bound for the round: no event
-        // it can still execute — and therefore no send it can still
-        // make — happens before min(next local event, until).
-        drainInboxes(sh);
-        SimTime local_next = sh.sim.nextEventTime();
-        SimTime bound = std::min(local_next, until);
-        sh.bound.store(bound, std::memory_order_release);
-        timedBarrier();
-
-        // (3) Execute the window admitted by every *other* shard's
-        // bound plus its declared lookahead.  Any send they can still
-        // make lands at >= bound + lookahead >= H, so nothing can
-        // arrive in this window's past — even over zero-lookahead
-        // edges and chains through third shards.  A closed shard's
-        // kNoSends saturates and never limits H.
-        SimTime h = until;
-        for (ShardId o = 0; o < K; ++o) {
-            if (o == s)
-                continue;
-            h = std::min(
-                h, saturatingAdd(
-                       shards_[o]->bound.load(std::memory_order_acquire),
-                       shards_[o]->lookahead));
-        }
-        ++sh.stats.rounds;
-        std::uint64_t before = sh.sim.eventsProcessed();
-        std::uint64_t sent_before = sh.stats.cross_sent;
-        SimTime wstart = sh.sim.now();
+    std::uint64_t before = sh.sim.eventsProcessed();
+    try {
         while (!stopping_.load(std::memory_order_relaxed) &&
                !sh.sim.stopRequested()) {
             SimTime nt = sh.sim.nextEventTime();
-            if (nt == kMaxSimTime || nt > h)
+            if (nt == kMaxSimTime || nt > until)
                 break;
             sh.sim.executeNext();
         }
-        if (sh.sim.stopRequested())
-            stopping_.store(true, std::memory_order_release);
-        std::uint64_t ran = sh.sim.eventsProcessed() - before;
-        sh.stats.events += ran;
-        if (ran == 0 && local_next <= until)
-            ++sh.stats.stalled_rounds;
-        if (ran && opts_.collect_windows &&
-            sh.windows.size() < kMaxWindowsPerShard)
-            sh.windows.push_back({wstart, sh.sim.now(),
-                                  static_cast<std::uint32_t>(
-                                      std::min<std::uint64_t>(
-                                          ran, UINT32_MAX))});
-
-        // (4) Record how the window ended.  A window that reached
-        // `until` ran every local event due by then; if it also sent
-        // nothing, no new work can appear for this run on its
-        // account.  The stop flag is sampled here, before the
-        // barrier, so every shard sees the same records after it.
-        WindowEnd end = WindowEnd::Open;
-        if (stopping_.load(std::memory_order_acquire))
-            end = WindowEnd::Stopped;
-        else if (h == until && sh.stats.cross_sent == sent_before)
-            end = WindowEnd::Settled;
-        sh.window_end.store(end, std::memory_order_relaxed);
-        timedBarrier();
-        if (roundsDone())
-            break;
+    } catch (...) {
+        sh.error = std::current_exception();
+        stopping_.store(true, std::memory_order_release);
     }
+    if (sh.sim.stopRequested())
+        stopping_.store(true, std::memory_order_release);
+    sh.stats.events += sh.sim.eventsProcessed() - before;
+    ++sh.stats.rounds;
     tls_shard = kNoShard;
-}
-
-bool
-ShardedSimulator::roundsDone() const
-{
-    // Reads only records written before the closing barrier (the next
-    // writes follow the next round's first barrier), so every shard
-    // reaches the same verdict.
-    bool settled = true;
-    for (const auto &o : shards_) {
-        WindowEnd e = o->window_end.load(std::memory_order_relaxed);
-        if (e == WindowEnd::Stopped)
-            return true;
-        settled &= e == WindowEnd::Settled;
-    }
-    return settled;
-}
-
-const std::vector<ShardedSimulator::Window> &
-ShardedSimulator::shardWindows(ShardId s) const
-{
-    return shards_.at(s)->windows;
+    // Wall-clock time spent waiting for the slowest shard, attributed
+    // to this shard — the load-imbalance signal.
+    auto t0 = std::chrono::steady_clock::now();
+    done.arrive_and_wait();
+    auto dt = std::chrono::steady_clock::now() - t0;
+    sh.stats.barrier_wait_ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
+            .count());
 }
 
 } // namespace vcp

@@ -1,14 +1,9 @@
 /**
  * @file
- * Conservative (lookahead-based) parallel event execution inside one
- * simulation run.
+ * Sharded event execution inside one simulation run.
  *
  * A ShardedSimulator owns K per-shard kernels (each a full Simulator:
- * event queue, clock, RNG) plus the machinery that lets them advance
- * together correctly: per-edge SPSC mailboxes for cross-shard sends
- * and a round-based conservative horizon protocol driven by each
- * shard's published *bound* (a lower limit on any event it can still
- * send).  Two execution modes share that structure:
+ * event queue, clock, RNG).  Two execution modes share them:
  *
  *  - **DeterministicMerge** (the oracle): one thread pops the
  *    globally minimal (time, priority, sequence) event across all K
@@ -16,40 +11,21 @@
  *    execution order — and therefore every byte of model output — is
  *    identical to the classic single-queue serial kernel, for any K.
  *    Cross-shard model calls stay legal (it is one thread), which is
- *    what lets the single-management-server model run sharded today.
+ *    what lets the single-management-server model run sharded.
  *
- *  - **Threaded**: one worker per shard, two barriers per round.
- *    Every shard (1) drains its inbound mailboxes, (2) publishes
- *    bound = min(next local event time, until), then after the
- *    first barrier (3) executes local events up to
- *    H = min(until, min over other shards (bound + their declared
- *    lookahead)) and records whether its window settled (H reached
- *    until and it sent nothing) or saw a stop, then crosses the
- *    second barrier.  A send posted while executing an event at
- *    time t satisfies when >= t + lookahead >= bound + lookahead >=
- *    every receiver's H, so no shard ever receives an event in its
- *    past — including chains through third shards and zero-lookahead
- *    edges (the receiver's H is then capped at the sender's bound
- *    itself).  Every shard then reads the same K window records, all
- *    written before the second barrier, and takes the same exit: the
- *    run is done once a stop was seen or every window settled.
- *    Barriers also make mailbox drain points — and hence the whole
- *    execution — deterministic for a fixed shard count: cross-shard
- *    ties are ordered by a (source shard, source sequence) key, not
- *    by arrival timing.
+ *  - **Threaded**: fork-join over *closed* shards.  runUntil() starts
+ *    one worker per shard; each runs its own kernel to `until` (or
+ *    drains it), checking the stop flag between events, and the
+ *    workers join.  There is no cross-shard messaging: a shard's
+ *    events may touch only state owned by that shard, and a
+ *    cross-shard post() during a Threaded run panics.  The
+ *    share-nothing federation stacks (cloud/federation.hh) satisfy
+ *    this; the single-server model does not (its pipeline helpers
+ *    call host-agent and datastore centers synchronously) and
+ *    therefore runs Merge.
  *
- *    A shard whose lookahead is kNoSends is *closed*: it promises
- *    never to post to another shard, so it bounds no other shard's
- *    horizon.  When every shard is closed each runUntil() is a
- *    single round.
- *
- * Threaded mode requires the model partition to be *shard-closed*:
- * an event handler may touch only state owned by its shard, and all
- * cross-shard work must flow through post().  The share-nothing
- * federation stacks satisfy this; the single-server model does not
- * yet (its pipeline helpers call host-agent and datastore centers
- * synchronously) and therefore runs Merge.  The federation declares
- * its execution shards closed.  See DESIGN.md "Parallel kernel".
+ * Merge stays the oracle Threaded runs are tested against.  See
+ * DESIGN.md "Parallel kernel".
  */
 
 #ifndef VCP_SIM_SHARDED_SIMULATOR_HH
@@ -58,12 +34,12 @@
 #include <atomic>
 #include <barrier>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <vector>
 
 #include "sim/shard.hh"
 #include "sim/simulator.hh"
-#include "sim/spsc_mailbox.hh"
 
 namespace vcp {
 
@@ -71,48 +47,34 @@ namespace vcp {
 enum class ShardExecMode : std::uint8_t
 {
     Merge,    ///< single-thread global merge; byte-identical to serial
-    Threaded, ///< one worker per shard, conservative horizons
+    Threaded, ///< fork-join: one worker per closed shard
 };
 
 const char *shardExecModeName(ShardExecMode m);
 
-/** K per-shard kernels advancing under one horizon protocol. */
+/** K per-shard kernels run as one global merge or fork-join. */
 class ShardedSimulator
 {
   public:
     struct Options
     {
         ShardExecMode mode = ShardExecMode::Merge;
-
-        /**
-         * Default outgoing-lookahead promise per shard: every post()
-         * from shard s must satisfy when >= s.now() + lookahead(s).
-         * 0 is always safe (the round protocol tolerates it); larger
-         * values widen every other shard's execution window, and
-         * kNoSends closes the shard.
-         */
-        SimDuration lookahead = 0;
-
-        /** Per-edge mailbox ring capacity (overflow spills safely). */
-        std::size_t mailbox_capacity = 1024;
-
-        /** Record per-shard execution windows for trace lanes
-         *  (threaded mode; capped per shard). */
-        bool collect_windows = true;
     };
 
-    /** Per-shard execution counters (horizon-stall attribution). */
+    /** Per-shard execution counters. */
     struct ShardStats
     {
         std::uint64_t events = 0;
+        /** Threaded runs this shard took part in. */
         std::uint64_t rounds = 0;
-        /** Rounds where the horizon admitted no local event while
-         *  the queue was non-empty — time lost to neighbors' lag. */
+        /** Always 0: fork-join runs never stall on another shard.
+         *  Kept for perfbench, its only reader. */
         std::uint64_t stalled_rounds = 0;
         std::uint64_t cross_sent = 0;
         std::uint64_t cross_received = 0;
-        /** Wall-clock nanoseconds this shard's worker spent inside
-         *  round barriers (threaded mode) — load-imbalance signal. */
+        /** Wall-clock nanoseconds this shard's worker waited for the
+         *  slowest shard at the end of each threaded run — the
+         *  load-imbalance signal. */
         std::uint64_t barrier_wait_ns = 0;
     };
 
@@ -139,23 +101,11 @@ class ShardedSimulator
     const Simulator &shard(ShardId s) const;
 
     /**
-     * Lookahead of a *closed* shard: one that never posts to another
-     * shard.  Horizon arithmetic saturates, so a closed shard never
-     * limits another shard's window; post() from it panics.
-     */
-    static constexpr SimDuration kNoSends = kMaxSimTime;
-
-    /** Declare shard @p s's outgoing-lookahead promise (enforced on
-     *  every cross-shard post()); kNoSends closes the shard. */
-    void setLookahead(ShardId s, SimDuration la);
-    SimDuration lookahead(ShardId s) const;
-
-    /**
-     * Cross-shard send: schedule @p action on shard @p dst at
-     * absolute time @p when.  From inside a threaded run this is the
-     * only legal way to reach another shard; when must respect the
-     * source shard's lookahead promise.  Outside a run (or in merge
-     * mode) it degrades to a plain deterministic scheduleAt.
+     * Schedule @p action on shard @p dst at absolute time @p when on
+     * behalf of shard @p src.  Outside a run, or in merge mode, this
+     * is a plain deterministic scheduleAt that counts cross-shard
+     * sends; during a Threaded run a cross-shard post panics, since
+     * Threaded shards are closed.
      */
     void post(ShardId src, ShardId dst, SimTime when, int priority,
               InlineAction action);
@@ -166,11 +116,11 @@ class ShardedSimulator
      */
     void runUntil(SimTime until);
 
-    /** Run until every queue and mailbox drains (or stop()). */
+    /** Run until every queue drains (or stop()). */
     void run();
 
-    /** Request the run to end at the next event (merge) or the next
-     *  horizon round (threaded). */
+    /** Request the run to end at the next event.  In a Threaded run
+     *  each shard stops at its own next event boundary. */
     void stop();
     bool stopRequested() const { return stopping_.load(); }
 
@@ -193,79 +143,24 @@ class ShardedSimulator
 
     const ShardStats &shardStats(ShardId s) const;
 
-    /** Undrained cross events queued toward shard @p s, summed over
-     *  its inboxes (racy while running; telemetry backlog probe). */
-    std::size_t mailboxBacklog(ShardId s) const;
-
-    /** Horizon rounds completed (threaded mode; every shard runs
-     *  the same rounds). */
+    /** Threaded runs completed (one per runUntil()/run(); merge
+     *  execution has none). */
     std::uint64_t rounds() const { return shards_[0]->stats.rounds; }
 
-    /** One executed horizon window (threaded runs; trace-lane
-     *  material — see flushShardLanes in trace/shard_lanes.hh). */
-    struct Window
-    {
-        SimTime start = 0;
-        SimTime end = 0;
-        std::uint32_t events = 0;
-    };
-
-    /** Executed windows of shard @p s (capped; quiescent only). */
-    const std::vector<Window> &shardWindows(ShardId s) const;
-
   private:
-    struct CrossEvent
-    {
-        SimTime when = 0;
-        std::int32_t priority = 0;
-        std::uint32_t seq = 0;
-        InlineAction action;
-    };
-
-    /** How a shard's last threaded window ended. */
-    enum class WindowEnd : std::uint8_t
-    {
-        Open,    ///< H < until or it sent cross events: run another round
-        Settled, ///< H reached until and it sent nothing
-        Stopped, ///< a stop was requested
-    };
-
     struct Shard
     {
         Simulator sim;
-        /** Published lower bound on future sends (round protocol). */
-        std::atomic<SimTime> bound{0};
-        /** Written before a round's closing barrier, read by every
-         *  shard after it (termination). */
-        std::atomic<WindowEnd> window_end{WindowEnd::Open};
-        SimDuration lookahead = 0;
-        /** inbox[src]: SPSC ring from shard src. */
-        std::vector<std::unique_ptr<SpscMailbox<CrossEvent>>> inbox;
-        /** Outgoing per-destination sequence (deterministic keys). */
-        std::vector<std::uint32_t> edge_seq;
         ShardStats stats;
-        std::vector<Window> windows;
+        /** An exception an event threw on this shard's worker. */
+        std::exception_ptr error;
 
         explicit Shard(std::uint64_t seed) : sim(seed) {}
     };
 
     void runMergeUntil(SimTime until, bool drain);
     void runThreadedUntil(SimTime until);
-    void worker(ShardId s, SimTime until, std::barrier<> &bar);
-
-    /** True once a window saw a stop or every window settled. */
-    bool roundsDone() const;
-
-    /** Drain shard @p s's inboxes into its queue; returns items. */
-    std::uint64_t drainInboxes(Shard &sh);
-
-    /** 32-bit tie-break key for a cross event: sorts after local
-     *  events at equal (time, priority), then by (src, seq). */
-    static std::uint32_t
-    crossSeq(ShardId src, std::uint32_t seq)
-    {
-        return 0x80000000u | (src << 24) | (seq & 0xffffffu);
-    }
+    void worker(ShardId s, SimTime until, std::barrier<> &done);
 
     Options opts_;
     std::vector<std::unique_ptr<Shard>> shards_;

@@ -25,18 +25,6 @@ Simulator::scheduleAt(SimTime when, InlineAction action,
     return events.push(when, priority, std::move(action));
 }
 
-EventId
-Simulator::scheduleCross(SimTime when, int priority,
-                         std::uint32_t seq, InlineAction action)
-{
-    if (when < current)
-        panic("Simulator::scheduleCross: delivery at %lld is in shard "
-              "%u's past (now %lld) — a lookahead promise was violated",
-              static_cast<long long>(when), shard_id,
-              static_cast<long long>(current));
-    return events.pushSeq(when, priority, seq, std::move(action));
-}
-
 void
 Simulator::executeNext()
 {

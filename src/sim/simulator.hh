@@ -113,16 +113,7 @@ class Simulator
     /** Pop and execute exactly one event. @pre pending events. */
     void executeNext();
 
-    /**
-     * Schedule at an absolute time with an explicit tie-break
-     * sequence — the delivery path for cross-shard sends.  Panics if
-     * @p when is in this shard's past, which is precisely a violated
-     * lookahead promise.
-     */
-    EventId scheduleCross(SimTime when, int priority,
-                          std::uint32_t seq, InlineAction action);
-
-    /** Advance the clock without running events (horizon commit /
+    /** Advance the clock without running events (run end /
      *  merge-mode global time). @pre t >= now(). */
     void
     forceClock(SimTime t)

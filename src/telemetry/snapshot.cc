@@ -32,6 +32,7 @@ SnapshotEmitter::openNdjson(const std::string &path)
         return false;
     }
     out = owned_out.get();
+    ndjson_path = path;
     prom_path = path + ".prom";
     return true;
 }
@@ -72,7 +73,7 @@ SnapshotEmitter::emitNow()
     ++seq;
 }
 
-void
+bool
 SnapshotEmitter::finish(const HealthReport &hr)
 {
     // A final partial window: emit unless the last snapshot already
@@ -83,6 +84,14 @@ SnapshotEmitter::finish(const HealthReport &hr)
         emitNow();
     emitLine(healthJson(hr));
     writeProm();
+    return failed_path.empty();
+}
+
+void
+SnapshotEmitter::noteFailure(const std::string &path)
+{
+    if (failed_path.empty())
+        failed_path = path.empty() ? "metrics stream" : path;
 }
 
 void
@@ -92,6 +101,8 @@ SnapshotEmitter::emitLine(const std::string &line)
         return;
     *out << line << '\n';
     out->flush();
+    if (!out->good())
+        noteFailure(ndjson_path);
 }
 
 void
@@ -262,8 +273,10 @@ SnapshotEmitter::writeProm()
     if (prom_path.empty())
         return;
     std::ofstream pf(prom_path, std::ios::trunc);
-    if (!pf.is_open())
+    if (!pf.is_open()) {
+        noteFailure(prom_path);
         return;
+    }
     SimTime now = sim.now();
 
     for (const auto &name : reg.counterNames()) {
@@ -303,6 +316,9 @@ SnapshotEmitter::writeProm()
            << pn << "_sum " << jsonNum(h.sum()) << "\n"
            << pn << "_count " << h.count() << "\n";
     }
+    pf.flush();
+    if (!pf)
+        noteFailure(prom_path);
 }
 
 } // namespace vcp

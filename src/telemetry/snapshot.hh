@@ -73,8 +73,13 @@ class SnapshotEmitter
      * Emit a final partial-window snapshot (if anything happened
      * since the last one), append the health line, and rewrite the
      * Prometheus file one last time.
+     * @return false if any ND-JSON or Prometheus write of the run
+     *         failed (failedPath() names the first file).
      */
-    void finish(const HealthReport &hr);
+    bool finish(const HealthReport &hr);
+
+    /** The first file a write failed on; empty if none did. */
+    const std::string &failedPath() const { return failed_path; }
 
     std::uint64_t snapshots() const { return seq; }
     SimDuration interval() const { return interval_; }
@@ -95,6 +100,8 @@ class SnapshotEmitter
     std::string snapshotLine();
     void noteDominant();
     void writeProm();
+    /** Remember @p path as the first failed write. */
+    void noteFailure(const std::string &path);
 
     Simulator &sim;
     TelemetryRegistry &reg;
@@ -105,7 +112,9 @@ class SnapshotEmitter
 
     std::ostream *out = nullptr;
     std::unique_ptr<std::ofstream> owned_out;
+    std::string ndjson_path;
     std::string prom_path;
+    std::string failed_path;
 
     /** One (name, count) per util probe — bounded by instrument count. */
     std::vector<std::pair<std::string, std::uint64_t>> wins;

@@ -13,22 +13,10 @@ flushShardLanes(const ShardedSimulator &engine, SpanTracer &tracer)
         return;
     for (ShardId s = 0;
          s < static_cast<ShardId>(engine.numShards()); ++s) {
-        std::string base = ShardMap::label(s);
-        std::int64_t scope = static_cast<std::int64_t>(s);
-        std::uint16_t lane = tracer.intern(base + ".window");
-        for (const ShardedSimulator::Window &w :
-             engine.shardWindows(s))
-            tracer.recordSpan(lane, scope, w.start,
-                              w.end - w.start);
-        const ShardedSimulator::ShardStats &st =
-            engine.shardStats(s);
-        SimTime t = engine.shard(s).now();
-        tracer.recordCounter(tracer.intern(base + ".events"), t,
-                             static_cast<std::int64_t>(st.events));
-        if (st.rounds)
-            tracer.recordCounter(
-                tracer.intern(base + ".stalled_rounds"), t,
-                static_cast<std::int64_t>(st.stalled_rounds));
+        tracer.recordCounter(
+            tracer.intern(ShardMap::label(s) + ".events"),
+            engine.shard(s).now(),
+            static_cast<std::int64_t>(engine.shardStats(s).events));
     }
 }
 

@@ -2,12 +2,10 @@
  * @file
  * Per-shard tracer lanes for sharded runs.
  *
- * A threaded ShardedSimulator run records one Window per executed
- * horizon window per shard; flushing them into the tracer after the
- * run yields a "shardK.window" span track per shard in the Perfetto
- * export, so horizon stalls show up as gaps between the windows and
- * the stall counters attribute them.  Lives in the trace layer (not
- * the kernel) to keep vcp_sim free of trace dependencies.
+ * After a sharded run, each shard's executed-event count becomes a
+ * final "shardK.events" counter in the Perfetto export.  Lives in the
+ * trace layer (not the kernel) to keep vcp_sim free of trace
+ * dependencies.
  */
 
 #ifndef VCP_TRACE_SHARD_LANES_HH
@@ -19,11 +17,8 @@ class ShardedSimulator;
 class SpanTracer;
 
 /**
- * Emit per-shard lanes into @p tracer: one "shardK.window" span per
- * executed horizon window plus final "shardK.events" /
- * "shardK.stalled_rounds" counters.  Call after the run completes
- * (the window buffers are quiescent then); a no-op when the tracer
- * is disabled.
+ * Emit one final "shardK.events" counter per shard into @p tracer.
+ * Call after the run completes; a no-op when the tracer is disabled.
  */
 void flushShardLanes(const ShardedSimulator &engine,
                      SpanTracer &tracer);

@@ -106,13 +106,7 @@ CloudSimulation::shardedServerConfig()
 CloudSimulation::CloudSimulation(const CloudSetupSpec &spec,
                                  std::uint64_t seed)
     : spec_(spec),
-      engine_(spec.exec.shards < 1 ? 1 : spec.exec.shards, seed,
-              [&spec] {
-                  ShardedSimulator::Options o;
-                  o.mode = spec.exec.mode;
-                  o.lookahead = spec.exec.lookahead;
-                  return o;
-              }()),
+      engine_(spec.exec.shards < 1 ? 1 : spec.exec.shards, seed),
       inv_(engine_.shard(0)),
       net_(engine_.shard(0), spec.infra.network),
       srv_(engine_.shard(0), inv_, net_, stats_,
@@ -121,11 +115,6 @@ CloudSimulation::CloudSimulation(const CloudSetupSpec &spec,
 {
     if (spec_.infra.hosts < 1 || spec_.infra.datastores < 1)
         fatal("CloudSimulation: need at least one host and datastore");
-    if (spec_.exec.mode == ShardExecMode::Threaded &&
-        engine_.numShards() > 1)
-        fatal("CloudSimulation: the single-server model is not "
-              "shard-closed; use ShardExecMode::Merge (federation "
-              "stacks support Threaded)");
 
     // Stamp this thread's log lines with this simulation's clock
     // (thread-local, so sweep workers don't fight over it).
@@ -323,27 +312,8 @@ CloudSimulation::enableTelemetry(TelemetryRegistry *reg)
             [this, sid] { return engine_.shardStats(sid).events; },
             true);
         reg->addCounterProbe(
-            prefix + ".stalled_rounds",
-            [this, sid] {
-                return engine_.shardStats(sid).stalled_rounds;
-            },
-            true);
-        reg->addCounterProbe(
             prefix + ".cross_sent",
             [this, sid] { return engine_.shardStats(sid).cross_sent; },
-            true);
-        reg->addCounterProbe(
-            prefix + ".barrier_wait_ns",
-            [this, sid] {
-                return engine_.shardStats(sid).barrier_wait_ns;
-            },
-            true);
-        reg->addGaugeProbe(
-            prefix + ".mailbox",
-            [this, sid] {
-                return static_cast<std::int64_t>(
-                    engine_.mailboxBacklog(sid));
-            },
             true);
     }
 }

@@ -56,7 +56,12 @@ struct TemplateSpec
     SimDuration lease = hours(8);
 };
 
-/** Intra-run parallel execution of one simulated cloud. */
+/**
+ * Intra-run sharding of one simulated cloud.  The single-server model
+ * is not shard-closed (pipeline helpers call host-agent and datastore
+ * centers synchronously), so it always runs the deterministic Merge
+ * mode; only share-nothing federation stacks run Threaded.
+ */
 struct ExecSpec
 {
     /**
@@ -66,19 +71,6 @@ struct ExecSpec
      * classic single-kernel run exactly.
      */
     int shards = 1;
-
-    /**
-     * Execution mode for shards > 1.  The single-server model is not
-     * shard-closed (pipeline helpers call host-agent and datastore
-     * centers synchronously), so only the deterministic Merge oracle
-     * is supported here — Threaded mode is rejected at construction.
-     * Share-nothing federation stacks (cloud/federation.hh) support
-     * Threaded.
-     */
-    ShardExecMode mode = ShardExecMode::Merge;
-
-    /** Cross-shard delivery lookahead (Threaded mode only). */
-    SimDuration lookahead = 0;
 };
 
 /** A complete simulated cloud: plant + tenancy + policy + demand. */
@@ -175,8 +167,7 @@ class CloudSimulation
      * database, op latency) plus polled probes for every saturation
      * point — queue-depth gauges, per-subsystem utilizations,
      * monotone counters, and per-shard engine series (events,
-     * mailbox backlog, horizon stalls, barrier wait).  Pass nullptr
-     * to detach the push side.
+     * cross-shard sends).  Pass nullptr to detach the push side.
      */
     void enableTelemetry(TelemetryRegistry *reg);
 

@@ -153,8 +153,8 @@ TEST_F(FederationTest, InvalidConfigFatal)
 /** Engine-bound federation: run the same burst under the merge
  *  oracle and under real threads; every per-shard registry must come
  *  out byte-identical (share-nothing stacks are shard-closed), also
- *  with more domains than execution shards.  The engine's shards are
- *  closed, so each Threaded runUntil() is a single round. */
+ *  with more domains than execution shards.  Each Threaded
+ *  runUntil() is one fork-join round. */
 TEST_F(FederationTest, EngineThreadedMatchesMergeOracle)
 {
     auto runFed = [](ShardExecMode mode, int domains,
@@ -187,7 +187,7 @@ TEST_F(FederationTest, EngineThreadedMatchesMergeOracle)
             runFed(ShardExecMode::Threaded, domains, &rounds);
         EXPECT_EQ(std::get<0>(merge), 12u) << domains << " domains";
         EXPECT_EQ(merge, threaded) << domains << " domains";
-        EXPECT_LE(rounds, 2u) << domains << " domains";
+        EXPECT_EQ(rounds, 2u) << domains << " domains";
     }
 }
 

@@ -282,35 +282,14 @@ TEST(EventQueueTest, DeterministicPopOrderAcrossRuns)
     }
 }
 
-TEST(EventQueueTest, PushSeqOrdersCrossEventsAfterLocalTies)
+TEST(EventQueueTest, CancelTiedHeadLeavesConsistentTombstone)
 {
-    // Cross-shard deliveries carry explicit high-bit sequence keys:
-    // at equal (time, priority) they sort after every locally pushed
-    // event, and among themselves by (source shard, source seq).
-    EventQueue q;
-    std::vector<int> order;
-    q.pushSeq(10, 0, 0x80000000u | (2u << 24) | 0,
-              [&order] { order.push_back(20); });
-    q.push(10, 0, [&order] { order.push_back(1); });
-    q.pushSeq(10, 0, 0x80000000u | (1u << 24) | 1,
-              [&order] { order.push_back(11); });
-    q.pushSeq(10, 0, 0x80000000u | (1u << 24) | 0,
-              [&order] { order.push_back(10); });
-    q.push(10, 0, [&order] { order.push_back(2); });
-    while (!q.empty())
-        q.pop().action();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 10, 11, 20}));
-}
-
-TEST(EventQueueTest, PushSeqCancelLeavesConsistentTombstone)
-{
-    // Cancel a cross-shard delivery while it is pending (the
-    // "cancelled in flight" case): only a tombstone remains, later
-    // pops skip it, and re-cancel fails.
+    // Cancel the head of an equal-(time, priority) tie while it is
+    // pending: only a tombstone remains, later pops skip it, and
+    // re-cancel fails.
     EventQueue q;
     bool fired = false;
-    EventId victim = q.pushSeq(5, 0, 0x80000000u | 7,
-                               [&fired] { fired = true; });
+    EventId victim = q.push(5, 0, [&fired] { fired = true; });
     q.push(5, 0, [] {});
     EXPECT_TRUE(q.cancel(victim));
     EXPECT_FALSE(q.cancel(victim));

@@ -240,165 +240,152 @@ TEST(ShardedSimulator, PostOutsideRunSchedulesDirectly)
     EXPECT_EQ(engine.shardStats(1).cross_received, 1u);
 }
 
-TEST(ShardedSimulator, PostEnforcesLookaheadPromise)
+TEST(ShardedSimulator, MergePostDeliversInsideRun)
 {
-    ShardedSimulator::Options opts;
-    opts.lookahead = 10;
-    ShardedSimulator engine(2, 1, opts);
-    EXPECT_THROW(engine.post(0, 1, 5, 0, [] {}), PanicError);
-    engine.post(0, 1, 10, 0, [] {}); // exactly at the promise: fine
-}
-
-TEST(ShardedSimulator, PostSaturatesHugeLookahead)
-{
-    // now + lookahead would overflow SimTime; the promise check must
-    // saturate instead and still reject the send.
-    ShardedSimulator engine(2, 1);
-    engine.setLookahead(0, kMaxSimTime - 5);
-    engine.runUntil(100);
-    EXPECT_THROW(engine.post(0, 1, 200, 0, [] {}), PanicError);
-    EXPECT_EQ(engine.shard(1).pendingEvents(), 0u);
-}
-
-TEST(ShardedSimulator, ClosedShardPostPanicsNamingTheShard)
-{
+    // Merge runs on one thread, so an event may post to any shard;
+    // the delivery runs in the same run and is counted per edge.
     ShardedSimulator engine(3, 1);
-    engine.setLookahead(2, ShardedSimulator::kNoSends);
-    try {
-        engine.post(2, 0, 50, 0, [] {});
-        FAIL() << "post from a closed shard must panic";
-    } catch (const PanicError &e) {
-        EXPECT_NE(std::string(e.what()).find("shard 2 is closed"),
-                  std::string::npos)
-            << e.what();
-    }
-    // Local posts and posts from open shards stay legal.
-    engine.post(2, 2, 50, 0, [] {});
-    engine.post(0, 2, 50, 0, [] {});
-    EXPECT_EQ(engine.shard(2).pendingEvents(), 2u);
-}
-
-TEST(ShardedSimulator, NegativeLookaheadPanics)
-{
-    ShardedSimulator engine(2, 1);
-    EXPECT_THROW(engine.setLookahead(1, -1), PanicError);
-    EXPECT_EQ(engine.lookahead(1), 0);
+    SimTime delivered_at = -1;
+    engine.shard(1).scheduleAt(10, [&engine, &delivered_at] {
+        engine.post(1, 2, 15, 0, [&engine, &delivered_at] {
+            delivered_at = engine.shard(2).now();
+        });
+    });
+    engine.runUntil(20);
+    EXPECT_EQ(delivered_at, 15);
+    EXPECT_EQ(engine.shardStats(1).cross_sent, 1u);
+    EXPECT_EQ(engine.shardStats(2).cross_received, 1u);
 }
 
 ShardedSimulator::Options
-threadedOpts(SimDuration la)
-{
-    ShardedSimulator::Options o;
-    o.mode = ShardExecMode::Threaded;
-    o.lookahead = la;
-    return o;
-}
-
-/**
- * Shard-closed ring workload: every shard keeps a local counter and
- * forwards a token to the next shard `hop` ticks ahead.  Each shard
- * logs only its own executions, so threaded runs race-free.
- */
-struct RingState
-{
-    std::vector<std::uint64_t> count;
-    std::vector<std::vector<SimTime>> log;
-};
-
-void
-pump(ShardedSimulator &engine, RingState &st, ShardId s, int k,
-     SimDuration hop, SimTime until)
-{
-    Simulator &sim = engine.shard(s);
-    ++st.count[s];
-    st.log[s].push_back(sim.now());
-    SimTime next = sim.now() + hop;
-    if (next > until)
-        return;
-    ShardId dst = static_cast<ShardId>((s + 1) % k);
-    engine.post(s, dst, next, 0,
-                [&engine, &st, dst, k, hop, until] {
-                    pump(engine, st, dst, k, hop, until);
-                });
-}
-
-RingState
-runRing(int k, ShardExecMode mode, SimTime until)
+modeOpts(ShardExecMode mode)
 {
     ShardedSimulator::Options o;
     o.mode = mode;
-    o.lookahead = 3;
-    ShardedSimulator engine(k, 11, o);
-    RingState st;
-    st.count.assign(static_cast<std::size_t>(k), 0);
-    st.log.assign(static_cast<std::size_t>(k), {});
-    for (ShardId s = 0; s < static_cast<ShardId>(k); ++s)
-        engine.shard(s).scheduleAt(
-            static_cast<SimTime>(s), [&engine, &st, s, k, until] {
-                pump(engine, st, s, k, 3, until);
-            });
-    engine.runUntil(until);
-    EXPECT_EQ(engine.now(), until);
-    return st;
+    return o;
 }
 
-TEST(ShardedSimulator, ThreadedMatchesMergeOnShardClosedWorkload)
+TEST(ShardedSimulator, ThreadedCrossShardPostPanicsNamingBothShards)
+{
+    ShardedSimulator engine(3, 1, modeOpts(ShardExecMode::Threaded));
+    engine.shard(1).scheduleAt(10, [&engine] {
+        engine.post(1, 2, 20, 0, [] {});
+    });
+    try {
+        engine.runUntil(100);
+        FAIL() << "a cross-shard post in a threaded run must panic";
+    } catch (const PanicError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("shard 1 sent to shard 2"),
+                  std::string::npos)
+            << what;
+    }
+    EXPECT_FALSE(engine.running());
+    EXPECT_EQ(engine.shard(2).pendingEvents(), 0u);
+    // Posts to a shard's own queue stay legal.
+    engine.post(2, 2, 200, 0, [] {});
+    EXPECT_EQ(engine.shard(2).pendingEvents(), 1u);
+}
+
+/**
+ * Closed-shard workload: shard s runs a private chain with period
+ * 3 + s, never posting across shards, and logs only its own
+ * executions, so threaded runs are race-free.  The chain stops at
+ * @p last.
+ */
+struct Chains
+{
+    ShardedSimulator engine;
+    std::vector<std::vector<SimTime>> log;
+    std::vector<std::function<void()>> step;
+
+    Chains(ShardExecMode mode, int k, SimTime last = kMaxSimTime)
+        : engine(k, 3, modeOpts(mode)),
+          log(static_cast<std::size_t>(k)),
+          step(static_cast<std::size_t>(k))
+    {
+        for (ShardId s = 0; s < static_cast<ShardId>(k); ++s) {
+            step[s] = [this, s, last] {
+                Simulator &sim = engine.shard(s);
+                log[s].push_back(sim.now());
+                SimDuration period = 3 + static_cast<SimDuration>(s);
+                if (sim.now() + period <= last)
+                    sim.schedule(period, [this, s] { step[s](); });
+            };
+            engine.shard(s).scheduleAt(static_cast<SimTime>(s),
+                                       [this, s] { step[s](); });
+        }
+    }
+};
+
+std::vector<std::vector<SimTime>>
+runChains(ShardExecMode mode, int k)
+{
+    Chains c(mode, k);
+    for (SimTime until : {100, 250, 400})
+        c.engine.runUntil(until);
+    EXPECT_EQ(c.engine.now(), 400);
+    return c.log;
+}
+
+TEST(ShardedSimulator, ThreadedMatchesMergeOnClosedShards)
 {
     for (int k : {2, 4}) {
-        RingState merge = runRing(k, ShardExecMode::Merge, 400);
-        RingState threaded =
-            runRing(k, ShardExecMode::Threaded, 400);
-        EXPECT_EQ(merge.count, threaded.count) << k << " shards";
-        EXPECT_EQ(merge.log, threaded.log) << k << " shards";
+        auto merge = runChains(ShardExecMode::Merge, k);
+        auto threaded = runChains(ShardExecMode::Threaded, k);
+        EXPECT_EQ(threaded, merge) << k << " shards";
+        EXPECT_EQ(threaded[1].back(), 397) << k << " shards"; // 1+4*99
     }
 }
 
 TEST(ShardedSimulator, ThreadedRunsAreDeterministic)
 {
-    RingState a = runRing(4, ShardExecMode::Threaded, 600);
-    RingState b = runRing(4, ShardExecMode::Threaded, 600);
-    EXPECT_EQ(a.count, b.count);
-    EXPECT_EQ(a.log, b.log);
+    auto first = runChains(ShardExecMode::Threaded, 4);
+    for (int rep = 0; rep < 5; ++rep)
+        EXPECT_EQ(runChains(ShardExecMode::Threaded, 4), first);
 }
 
-TEST(ShardedSimulator, ThreadedEqualTimeCrossTiesAreDeterministic)
+TEST(ShardedSimulator, ThreadedTakesOneRoundPerRun)
 {
-    // Two source shards each post a burst to shard 0 at the same
-    // (time, priority).  Cross ties must resolve by (source shard,
-    // source sequence) — identically on every run, whatever the
-    // thread interleaving was.
-    auto run = [] {
-        ShardedSimulator engine(3, 5, threadedOpts(0));
-        auto order = std::make_shared<std::vector<int>>();
-        for (ShardId src : {ShardId(1), ShardId(2)})
-            engine.shard(src).scheduleAt(
-                10, [&engine, src, order] {
-                    for (int i = 0; i < 4; ++i)
-                        engine.post(
-                            src, 0, 50, 0,
-                            [order, src, i] {
-                                order->push_back(
-                                    static_cast<int>(src) * 10 + i);
-                            });
-                });
-        engine.runUntil(100);
-        return *order;
-    };
-    std::vector<int> first = run();
-    ASSERT_EQ(first.size(), 8u);
-    // Source shard 1's burst precedes shard 2's; bursts stay FIFO.
-    EXPECT_EQ(first, (std::vector<int>{10, 11, 12, 13, 20, 21, 22,
-                                       23}));
-    for (int rep = 0; rep < 10; ++rep)
-        EXPECT_EQ(run(), first);
+    Chains merge(ShardExecMode::Merge, 4);
+    Chains threaded(ShardExecMode::Threaded, 4);
+    for (SimTime until : {100, 250, 400}) {
+        merge.engine.runUntil(until);
+        threaded.engine.runUntil(until);
+    }
+    EXPECT_EQ(merge.engine.rounds(), 0u); // merge has no rounds
+    EXPECT_EQ(threaded.engine.rounds(), 3u); // one per runUntil()
+    std::uint64_t events = 0;
+    for (ShardId s = 0; s < 4; ++s) {
+        const auto &st = threaded.engine.shardStats(s);
+        events += st.events;
+        EXPECT_EQ(st.rounds, 3u);
+        EXPECT_EQ(st.stalled_rounds, 0u);
+        EXPECT_EQ(st.cross_sent, 0u);
+    }
+    EXPECT_EQ(events, threaded.engine.eventsProcessed());
 }
 
-TEST(ShardedSimulator, ThreadedStopMidHorizon)
+TEST(ShardedSimulator, ThreadedRecordsBarrierWait)
 {
-    // Shard 1 requests a stop partway through a long horizon window;
-    // the run must end promptly, leave the un-run events pending,
-    // and a follow-up run must finish them.
-    ShardedSimulator engine(2, 1, threadedOpts(0));
+    // Every worker times its wait for the slowest shard; with two or
+    // more shards at least one of them waits a measurable time.
+    for (int k : {2, 4}) {
+        Chains c(ShardExecMode::Threaded, k);
+        c.engine.runUntil(1000);
+        std::uint64_t wait_ns = 0;
+        for (ShardId s = 0; s < static_cast<ShardId>(k); ++s)
+            wait_ns += c.engine.shardStats(s).barrier_wait_ns;
+        EXPECT_GT(wait_ns, 0u) << k << " shards";
+    }
+}
+
+TEST(ShardedSimulator, ThreadedStopMidRun)
+{
+    // Shard 1 requests a stop partway through its events; the run
+    // must end promptly, leave the un-run events pending, and a
+    // follow-up run must finish them.
+    ShardedSimulator engine(2, 1, modeOpts(ShardExecMode::Threaded));
     int ran = 0;
     for (int i = 0; i < 50; ++i)
         engine.shard(1).scheduleAt(i, [&engine, &ran] {
@@ -412,135 +399,43 @@ TEST(ShardedSimulator, ThreadedStopMidHorizon)
     engine.runUntil(1000);
     EXPECT_EQ(ran, 50);
     EXPECT_EQ(engine.pendingEvents(), 0u);
+    EXPECT_EQ(engine.now(), 1000);
 }
 
 TEST(ShardedSimulator, ThreadedShardLocalStopPropagates)
 {
     // Model code calling its own shard kernel's stop() must end the
     // whole engine run, like the serial kernel's stop().
-    ShardedSimulator engine(2, 1, threadedOpts(0));
-    bool later_ran = false;
-    engine.shard(1).scheduleAt(
-        5, [&engine] { engine.shard(1).stop(); });
-    engine.shard(0).scheduleAt(500,
-                               [&later_ran] { later_ran = true; });
+    ShardedSimulator engine(2, 1, modeOpts(ShardExecMode::Threaded));
+    int ran = 0;
+    for (int i = 0; i < 20; ++i)
+        engine.shard(1).scheduleAt(i, [&engine, &ran] {
+            if (++ran == 5)
+                engine.shard(1).stop();
+        });
     engine.runUntil(1000);
     EXPECT_TRUE(engine.stopRequested());
-    EXPECT_FALSE(later_ran);
+    EXPECT_EQ(ran, 5);
+    EXPECT_EQ(engine.shard(1).now(), 4);
+    engine.runUntil(1000);
+    EXPECT_EQ(ran, 20);
 }
 
 TEST(ShardedSimulator, ThreadedDrainRun)
 {
-    ShardedSimulator engine(3, 1, threadedOpts(2));
-    std::vector<std::uint64_t> hits(3, 0);
-    for (ShardId s = 0; s < 3; ++s)
-        engine.shard(s).scheduleAt(
-            static_cast<SimTime>(1 + s), [&engine, &hits, s] {
-                ++hits[s];
-                engine.post(s, static_cast<ShardId>((s + 1) % 3),
-                            engine.shard(s).now() + 4, 0,
-                            [&hits, s] { ++hits[(s + 1) % 3]; });
-            });
-    engine.run();
-    EXPECT_EQ(engine.pendingEvents(), 0u);
-    for (ShardId s = 0; s < 3; ++s)
-        EXPECT_EQ(hits[s], 2u) << "shard " << s;
-    EXPECT_EQ(engine.eventsProcessed(), 6u);
-}
-
-/**
- * Closed-shard workload: shard s runs a private chain with period
- * 3 + s and never posts.  Returns each shard's log of executed times
- * after three runUntil() steps.
- */
-std::vector<std::vector<SimTime>>
-runClosedChains(ShardExecMode mode, int k, std::uint64_t *rounds,
-                std::uint64_t *stalled)
-{
-    ShardedSimulator::Options o;
-    o.mode = mode;
-    ShardedSimulator engine(k, 3, o);
-    std::vector<std::vector<SimTime>> log(static_cast<std::size_t>(k));
-    std::vector<std::function<void()>> step(log.size());
-    for (ShardId s = 0; s < static_cast<ShardId>(k); ++s) {
-        engine.setLookahead(s, ShardedSimulator::kNoSends);
-        step[s] = [&engine, &log, &step, s] {
-            Simulator &sim = engine.shard(s);
-            log[s].push_back(sim.now());
-            sim.schedule(3 + static_cast<SimDuration>(s),
-                         [&step, s] { step[s](); });
-        };
-        engine.shard(s).scheduleAt(static_cast<SimTime>(s),
-                                   [&step, s] { step[s](); });
-    }
-    for (SimTime until : {100, 250, 400})
-        engine.runUntil(until);
-    *rounds = engine.rounds();
-    *stalled = 0;
-    for (ShardId s = 0; s < static_cast<ShardId>(k); ++s)
-        *stalled += engine.shardStats(s).stalled_rounds;
-    return log;
-}
-
-TEST(ShardedSimulator, ThreadedClosedShardsTakeOneRoundPerRun)
-{
-    std::uint64_t rounds = 0, stalled = 0;
-    auto merge =
-        runClosedChains(ShardExecMode::Merge, 4, &rounds, &stalled);
-    EXPECT_EQ(rounds, 0u); // merge execution has no rounds
-    auto threaded =
-        runClosedChains(ShardExecMode::Threaded, 4, &rounds, &stalled);
-    EXPECT_EQ(rounds, 3u); // one per runUntil()
-    EXPECT_EQ(stalled, 0u);
-    EXPECT_EQ(threaded, merge);
-    EXPECT_EQ(threaded[3].back(), 399); // 3 + 6 * 66
-}
-
-TEST(ShardedSimulator, ThreadedZeroLookaheadPostAtUntilRunsSameRun)
-{
-    // An event at exactly `until` posts to another shard for `until`
-    // over a zero-lookahead edge: that delivery is still due in this
-    // run, so termination must wait for it.
-    ShardedSimulator engine(2, 1, threadedOpts(0));
-    bool delivered = false;
-    engine.shard(1).scheduleAt(100, [&engine, &delivered] {
-        engine.post(1, 0, 100, 0, [&engine, &delivered] {
-            delivered = engine.shard(0).now() == 100;
-        });
-    });
-    engine.runUntil(100);
-    EXPECT_TRUE(delivered);
-    EXPECT_EQ(engine.pendingEvents(), 0u);
-    EXPECT_EQ(engine.mailboxBacklog(0), 0u);
-    EXPECT_EQ(engine.shardStats(0).cross_received, 1u);
-}
-
-TEST(ShardedSimulator, ThreadedRecordsShardStats)
-{
-    ShardedSimulator engine(2, 1, threadedOpts(3));
-    RingState st;
-    st.count.assign(2, 0);
-    st.log.assign(2, {});
-    engine.shard(0).scheduleAt(0, [&engine, &st] {
-        pump(engine, st, 0, 2, 3, 60);
-    });
-    engine.runUntil(60);
-    EXPECT_GT(engine.rounds(), 0u);
-    std::uint64_t events = 0;
-    for (ShardId s = 0; s < 2; ++s) {
-        events += engine.shardStats(s).events;
-        EXPECT_GT(engine.shardStats(s).rounds, 0u);
-    }
-    EXPECT_EQ(events, engine.eventsProcessed());
-    EXPECT_GT(engine.shardStats(0).cross_sent, 0u);
-    EXPECT_GT(engine.shardStats(1).cross_received, 0u);
-    // Executed-window collection (the tracer's shardN.window lanes)
-    // only exists in threaded runs; windows must be well-formed.
-    for (ShardId s = 0; s < 2; ++s) {
-        EXPECT_FALSE(engine.shardWindows(s).empty());
-        for (const ShardedSimulator::Window &w :
-             engine.shardWindows(s))
-            EXPECT_LE(w.start, w.end);
+    for (ShardExecMode mode :
+         {ShardExecMode::Merge, ShardExecMode::Threaded}) {
+        Chains c(mode, 3, 60);
+        c.engine.run();
+        EXPECT_EQ(c.engine.pendingEvents(), 0u);
+        EXPECT_EQ(c.log[2].size(), 12u); // 2, 7, ..., 57
+        EXPECT_EQ(c.log[2].back(), 57);
+        // A threaded drain leaves each clock at its own shard's last
+        // event; merge keeps one global clock at the last event.
+        for (ShardId s = 0; s < 3; ++s)
+            EXPECT_EQ(c.engine.shard(s).now(),
+                      mode == ShardExecMode::Threaded ? c.log[s].back()
+                                                      : 60);
     }
 }
 

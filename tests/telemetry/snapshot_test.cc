@@ -157,7 +157,8 @@ TEST(SnapshotEmitter, RunShorterThanOneWindowSnapshotsAtFinish)
     HealthReport hr = buildHealthReport(reg, sim.now(),
                                         em.recentDominants(),
                                         em.windowWins());
-    em.finish(hr);
+    EXPECT_TRUE(em.finish(hr));
+    EXPECT_EQ(em.failedPath(), "");
 
     // finish() emitted the partial-window snapshot plus the health
     // line, so even a tiny run yields a complete metrics file.
@@ -173,6 +174,25 @@ TEST(SnapshotEmitter, RunShorterThanOneWindowSnapshotsAtFinish)
     EXPECT_EQ(second.find("{\"type\":\"health\""), 0u);
     EXPECT_NE(second.find("\"dominant\":\"util.x\""),
               std::string::npos);
+}
+
+TEST(SnapshotEmitter, FailedWriteIsReportedByFinish)
+{
+    // A stream that stops accepting writes (a full disk) must not be
+    // lost silently: finish() reports it.
+    Simulator sim(1);
+    TelemetryRegistry reg(seconds(60));
+    SnapshotEmitter em(sim, reg, seconds(60));
+    std::ostringstream out;
+    em.writeTo(&out);
+    em.emitNow();
+    out.setstate(std::ios::badbit);
+    sim.runUntil(seconds(90));
+    HealthReport hr = buildHealthReport(reg, sim.now(),
+                                        em.recentDominants(),
+                                        em.windowWins());
+    EXPECT_FALSE(em.finish(hr));
+    EXPECT_EQ(em.failedPath(), "metrics stream");
 }
 
 TEST(SnapshotEmitter, UnstartedEmitterSchedulesNothing)

@@ -628,6 +628,7 @@ vcpsimMain(int argc, char **argv)
         }
     }
 
+    bool ok = true;
     if (emitter) {
         HealthReport hr =
             buildHealthReport(*telem, cs.sim().now(),
@@ -650,14 +651,17 @@ vcpsimMain(int argc, char **argv)
             topKCongested(hr.top_hosts);
             topKCongested(hr.top_links);
         }
-        emitter->finish(hr);
+        if (!emitter->finish(hr)) {
+            std::fprintf(stderr, "vcpsim: write to %s failed\n",
+                         emitter->failedPath().c_str());
+            ok = false;
+        }
         std::printf("\n%s", healthText(hr).c_str());
         std::printf("metrics: %llu snapshots -> %s (+ %s.prom)\n",
                     (unsigned long long)emitter->snapshots(),
                     metrics_out.c_str(), metrics_out.c_str());
     }
 
-    bool ok = true;
     if (tracer) {
         if (cs.engine().numShards() > 1)
             flushShardLanes(cs.engine(), *tracer);
@@ -677,6 +681,8 @@ vcpsimMain(int argc, char **argv)
                 (unsigned long long)tracer->ring().dropped(),
                 trace_out.c_str());
         } else {
+            std::fprintf(stderr, "vcpsim: cannot write trace to %s\n",
+                         trace_out.c_str());
             ok = false;
         }
     }
