@@ -93,6 +93,18 @@ parsePositiveOption(const std::string &flag, const char *value)
     return v;
 }
 
+/** --parallel-shards: a positive count up to the engine's limit (a
+ *  larger one would abort in the engine's constructor). */
+inline int
+parseShardCountOption(const std::string &flag, const char *value)
+{
+    int v = parsePositiveOption(flag, value);
+    if (v > ShardedSimulator::kMaxShards)
+        benchUsageError("%s is at most %d, got %d", flag.c_str(),
+                        ShardedSimulator::kMaxShards, v);
+    return v;
+}
+
 /** Strict positive real option parsing (std::atof would silently
  *  turn garbage — "4h", "" — into 0.0). */
 inline double
@@ -127,7 +139,7 @@ parseSweepOptions(int argc, char **argv)
         else if (arg == "--jobs")
             o.jobs = parsePositiveOption(arg, next());
         else if (arg == "--parallel-shards")
-            o.shards = parsePositiveOption(arg, next());
+            o.shards = parseShardCountOption(arg, next());
         else if (arg == "--csv")
             o.csv = next();
         else

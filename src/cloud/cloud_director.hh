@@ -131,10 +131,6 @@ class CloudDirector
     std::size_t numVApps() const { return vapps.size(); }
     /** @} */
 
-    /** The director mutates shared vApp/catalog/pool state on every
-     *  workflow step: an explicitly serialized control domain. */
-    static constexpr ShardDomain kShardDomain = ShardDomain::Control;
-
     /** Shard the director's workflow events execute on. */
     ShardId shard() const { return sim.shardId(); }
 

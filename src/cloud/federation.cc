@@ -33,18 +33,13 @@ CloudFederation::CloudFederation(Simulator &sim_, StatRegistry &stats_,
         // With an engine attached the whole stack of federation
         // shard s lives on one execution shard: the stacks share
         // nothing, so the partition is shard-closed and safe for
-        // Threaded runs.  The pinned map keeps the server's agents
-        // and datastore slots on that same kernel.
+        // Threaded runs.  The server gets no engine of its own, so
+        // its agents and datastore slots bind to that same kernel.
         Simulator *ksim = &sim;
-        ManagementServerConfig scfg = cfg.server;
         StatRegistry *sreg = &stats;
         if (cfg.engine) {
-            ShardId exec = static_cast<ShardId>(
-                s % cfg.engine->numShards());
-            ksim = &cfg.engine->shard(exec);
-            scfg.shard_plan.engine = cfg.engine;
-            scfg.shard_plan.map =
-                ShardMap::pinned(exec, cfg.engine->numShards());
+            ksim = &cfg.engine->shard(static_cast<ShardId>(
+                s % cfg.engine->numShards()));
             shard->own_stats = std::make_unique<StatRegistry>();
             sreg = shard->own_stats.get();
         }
@@ -54,7 +49,7 @@ CloudFederation::CloudFederation(Simulator &sim_, StatRegistry &stats_,
             std::make_unique<Network>(*ksim, cfg.network);
         shard->server = std::make_unique<ManagementServer>(
             *ksim, *shard->inventory, *shard->network, *sreg,
-            scfg);
+            cfg.server);
         shard->director = std::make_unique<CloudDirector>(
             *shard->server, cfg.director);
 

@@ -76,10 +76,6 @@ class StorageRebalancer
 
     const RebalanceConfig &config() const { return cfg; }
 
-    /** Rebalance passes scan and mutate shared placement state: an
-     *  explicitly serialized control domain. */
-    static constexpr ShardDomain kShardDomain = ShardDomain::Control;
-
     /** Shard the scan events execute on (the server's shard). */
     ShardId shard() const { return srv.simulator().shardId(); }
 

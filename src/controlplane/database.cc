@@ -37,9 +37,8 @@ InventoryDatabase::setTelemetry(TelemetryRegistry *reg)
 {
     telem = reg;
     if (telem) {
-        int shard = static_cast<int>(sim.shardId());
-        t_txn = telem->counter("db.txn", shard);
-        t_txn_lat = telem->histogram("db.txn_us", shard);
+        t_txn = telem->counter("db.txn");
+        t_txn_lat = telem->histogram("db.txn_us");
     }
 }
 

@@ -78,11 +78,6 @@ class InventoryDatabase
     ServiceCenter &center() { return pool; }
     const ServiceCenter &center() const { return pool; }
 
-    /** The inventory database is an explicitly serialized domain:
-     *  every txn mutates shared inventory state, so its events are
-     *  pinned to the control shard — never spread. */
-    static constexpr ShardDomain kShardDomain = ShardDomain::Control;
-
     /** Shard the connection-pool events execute on. */
     ShardId shard() const { return sim.shardId(); }
 

@@ -6,9 +6,7 @@ HostAgent::HostAgent(Simulator &sim, HostId host,
                      const HostAgentConfig &cfg)
     : host_id(host),
       slots(sim, "hostd:" + std::to_string(host.value), cfg.op_slots)
-{
-    slots.setShardDomain(kShardDomain);
-}
+{}
 
 std::uint32_t
 HostAgent::allocFlight(InlineAction done)

@@ -49,9 +49,6 @@ class HostAgent
 
     HostId host() const { return host_id; }
 
-    /** Host agents are per-host and shard-parallel by nature. */
-    static constexpr ShardDomain kShardDomain = ShardDomain::HostAgent;
-
     /** Shard this agent's op-slot events execute on (set by the
      *  kernel it was constructed with). */
     ShardId shard() const { return slots.shard(); }

@@ -26,10 +26,9 @@ LockManager::setTelemetry(TelemetryRegistry *reg)
 {
     telem = reg;
     if (telem) {
-        int shard = static_cast<int>(sim.shardId());
-        t_grant = telem->counter("locks.grant", shard);
-        t_contended = telem->counter("locks.contended", shard);
-        t_wait = telem->histogram("locks.wait_us", shard);
+        t_grant = telem->counter("locks.grant");
+        t_contended = telem->counter("locks.contended");
+        t_wait = telem->histogram("locks.wait_us");
     }
 }
 

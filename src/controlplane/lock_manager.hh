@@ -139,11 +139,6 @@ class LockManager
     /** Distinct keys currently locked (telemetry gauge probe). */
     std::size_t lockedKeys() const { return table.size(); }
 
-    /** Lock grant/queue state is shared across every operation: the
-     *  lock manager is an explicitly serialized domain, pinned to
-     *  the control shard. */
-    static constexpr ShardDomain kShardDomain = ShardDomain::Control;
-
     /** Shard the grant events execute on. */
     ShardId shard() const { return sim.shardId(); }
 

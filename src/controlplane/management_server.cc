@@ -6,6 +6,7 @@
 #include <string>
 
 #include "sim/logging.hh"
+#include "sim/sharded_simulator.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/tracer.hh"
 
@@ -190,13 +191,9 @@ ManagementServer::hostAgent(HostId h)
     if (h.slot >= agents.size())
         agents.resize(h.slot + 1);
     auto &agent = agents[h.slot];
-    if (!agent) {
-        // Bind the agent to its mapped shard kernel; without an
-        // engine this is the server's own kernel.
-        Simulator &asim = cfg.shard_plan.simFor(
-            cfg.shard_plan.map.hostShard(h.slot), sim);
-        agent = std::make_unique<HostAgent>(asim, h, cfg.agent);
-    }
+    if (!agent)
+        agent = std::make_unique<HostAgent>(slotSim(h.slot), h,
+                                            cfg.agent);
     return *agent;
 }
 
@@ -208,15 +205,24 @@ ManagementServer::datastoreSlots(DatastoreId d)
     if (d.slot >= ds_slots.size())
         ds_slots.resize(d.slot + 1);
     auto &center = ds_slots[d.slot];
-    if (!center) {
-        Simulator &dsim = cfg.shard_plan.simFor(
-            cfg.shard_plan.map.datastoreShard(d.slot), sim);
+    if (!center)
         center = std::make_unique<ServiceCenter>(
-            dsim, "ds-slots:" + std::to_string(d.value),
+            slotSim(d.slot), "ds-slots:" + std::to_string(d.value),
             cfg.datastore_slots);
-        center->setShardDomain(ShardDomain::Datastore);
-    }
     return *center;
+}
+
+Simulator &
+ManagementServer::slotSim(std::uint32_t slot)
+{
+    auto k = static_cast<ShardId>(cfg.engine ? cfg.engine->numShards()
+                                             : 1);
+    if (k <= 1)
+        return sim;
+    // Shard 0 stays the serialized control domain so agent and
+    // datastore completions never share its lane with lock, DB and
+    // dispatch events.
+    return cfg.engine->shard(1 + slot % (k - 1));
 }
 
 void
@@ -413,16 +419,15 @@ ManagementServer::attachTelemetry(TelemetryRegistry *reg)
     locks.setTelemetry(reg);
     db.setTelemetry(reg);
     if (telem_) {
-        int shard = static_cast<int>(sim.shardId());
-        t_op = telem_->counter("cp.op", shard);
-        t_op_failed = telem_->counter("cp.op_failed", shard);
-        t_op_lat = telem_->histogram("cp.op_us", shard);
-        t_disconnects = telem_->counter("agent.disconnects", shard);
-        t_reconcile = telem_->counter("agent.reconcile.runs", shard);
+        t_op = telem_->counter("cp.op");
+        t_op_failed = telem_->counter("cp.op_failed");
+        t_op_lat = telem_->histogram("cp.op_us");
+        t_disconnects = telem_->counter("agent.disconnects");
+        t_reconcile = telem_->counter("agent.reconcile.runs");
         t_reconcile_resumed =
-            telem_->counter("agent.reconcile.resumed_ops", shard);
+            telem_->counter("agent.reconcile.resumed_ops");
         t_reconcile_lat =
-            telem_->histogram("agent.reconcile.us", shard);
+            telem_->histogram("agent.reconcile.us");
     }
 }
 

@@ -96,15 +96,15 @@ struct ManagementServerConfig
     bool retain_finished_tasks = true;
 
     /**
-     * Intra-run execution binding (sim/shard.hh).  With an engine
-     * attached, per-host agents and per-datastore slot centers bind
-     * to the shard kernels the map assigns them, while the server
-     * core (API, scheduler, locks, DB, limiter) stays on the kernel
-     * the server was constructed with — the serialized control
-     * shard.  The default (null engine) reproduces the classic
-     * single-kernel layout exactly.
+     * Intra-run sharded engine.  With an engine of K > 1 shards, the
+     * agent of host slot i and the slot center of datastore slot i
+     * bind to shard 1 + i % (K - 1), while the server core (API,
+     * scheduler, locks, DB, limiter) stays on the kernel the server
+     * was constructed with — the serialized control shard.  A null
+     * engine (or K == 1) binds everything to that kernel, the classic
+     * single-kernel layout.
      */
-    ShardPlan shard_plan;
+    ShardedSimulator *engine = nullptr;
 };
 
 /** The vCenter-class management server model. */
@@ -400,6 +400,10 @@ class ManagementServer
 
     /** Recurring statistics-rollup load on the database. */
     void backgroundDbTick();
+
+    /** Kernel the agent or datastore slot center of slot @p slot
+     *  binds to (see ManagementServerConfig::engine). */
+    Simulator &slotSim(std::uint32_t slot);
 
     /**
      * Hosts and datastores are never destroyed, so their arena slots

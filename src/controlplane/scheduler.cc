@@ -35,9 +35,8 @@ TaskScheduler::setTelemetry(TelemetryRegistry *reg)
 {
     telem = reg;
     if (telem) {
-        int shard = static_cast<int>(sim.shardId());
-        t_dispatch = telem->counter("sched.dispatch", shard);
-        t_wait = telem->histogram("sched.wait_us", shard);
+        t_dispatch = telem->counter("sched.dispatch");
+        t_wait = telem->histogram("sched.wait_us");
     }
 }
 

@@ -71,14 +71,8 @@ class ServiceCenter
     int servers() const { return num_servers; }
     const std::string &name() const { return label; }
 
-    /** @{ Shard affinity.  A center's events execute on the shard of
-     *  the kernel it was constructed with; the domain tag records
-     *  which parallel/serialized class it belongs to (host-agent and
-     *  datastore centers parallelize, control centers serialize). */
+    /** Shard of the kernel this center's events execute on. */
     ShardId shard() const { return sim.shardId(); }
-    ShardDomain shardDomain() const { return domain; }
-    void setShardDomain(ShardDomain d) { domain = d; }
-    /** @} */
 
     /** Completed submit() jobs plus released acquire() tokens. */
     std::uint64_t completed() const { return done_count; }
@@ -147,7 +141,6 @@ class ServiceCenter
 
     Simulator &sim;
     std::string label;
-    ShardDomain domain = ShardDomain::Control;
     int num_servers;
     int busy = 0;
     std::deque<Pending> waiting;

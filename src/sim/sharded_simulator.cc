@@ -40,10 +40,10 @@ ShardedSimulator::ShardedSimulator(int num_shards, std::uint64_t seed,
 {
     if (num_shards < 1)
         num_shards = 1;
-    if (num_shards > 128)
-        panic("ShardedSimulator: %d shards exceeds the limit of 128 "
+    if (num_shards > kMaxShards)
+        panic("ShardedSimulator: %d shards exceeds the limit of %d "
               "(a threaded run starts one worker per shard)",
-              num_shards);
+              num_shards, kMaxShards);
     shards_.reserve(static_cast<std::size_t>(num_shards));
     for (int s = 0; s < num_shards; ++s) {
         // Shard 0 carries the caller's seed unchanged so a one-shard
@@ -55,7 +55,6 @@ ShardedSimulator::ShardedSimulator(int num_shards, std::uint64_t seed,
                          seed, static_cast<std::uint64_t>(s));
         auto sh = std::make_unique<Shard>(sh_seed);
         sh->sim.shard_id = static_cast<ShardId>(s);
-        sh->sim.owner = this;
         shards_.push_back(std::move(sh));
     }
     if (opts_.mode == ShardExecMode::Merge) {

@@ -78,12 +78,16 @@ class ShardedSimulator
         std::uint64_t barrier_wait_ns = 0;
     };
 
+    /** Most shards one engine holds: a threaded run starts one
+     *  worker per shard.  Option parsers reject larger counts. */
+    static constexpr int kMaxShards = 128;
+
     /**
-     * @param num_shards event-set shards; shard 0 is the control
-     *        shard and its kernel is seeded with @p seed exactly like
-     *        a plain Simulator (shards k>0 fork via splitmix64), so
-     *        one-shard construction is bit-equivalent to the classic
-     *        serial kernel.
+     * @param num_shards event-set shards, at most kMaxShards; shard 0
+     *        is the control shard and its kernel is seeded with
+     *        @p seed exactly like a plain Simulator (shards k>0 fork
+     *        via splitmix64), so one-shard construction is
+     *        bit-equivalent to the classic serial kernel.
      */
     explicit ShardedSimulator(int num_shards, std::uint64_t seed = 1);
     ShardedSimulator(int num_shards, std::uint64_t seed,

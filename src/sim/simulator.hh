@@ -96,9 +96,6 @@ class Simulator
      *  (0 for a standalone simulator). */
     ShardId shardId() const { return shard_id; }
 
-    /** Owning sharded engine; null for a standalone kernel. */
-    ShardedSimulator *shardOwner() const { return owner; }
-
   private:
     friend class ShardedSimulator;
 
@@ -130,7 +127,6 @@ class Simulator
     std::uint64_t processed = 0;
     Rng root_rng;
     ShardId shard_id = 0;
-    ShardedSimulator *owner = nullptr;
 };
 
 } // namespace vcp

@@ -14,11 +14,10 @@
  *  - DecayingGauge: exponentially-weighted moving average of a
  *    sampled level (queue depth, slot occupancy) with min/max/last.
  *  - LatencyHistogram (from trace/latency_hist.hh): quarter-octave
- *    clz-bucketed HDR-style histogram; exact-merge across shards.
+ *    clz-bucketed HDR-style histogram.
  *
- * All three merge exactly, which is what lets per-shard instruments
- * collapse into one unified export stream: a sharded run and a serial
- * run of the same workload emit comparable series.
+ * One registry serves one single-threaded model, so each series is
+ * one instrument; federation domains keep their own registries.
  */
 
 #ifndef VCP_TELEMETRY_INSTRUMENTS_HH
@@ -91,30 +90,6 @@ class WindowedCounter
     }
 
     SimDuration window() const { return slot_width * kSlots; }
-
-    /**
-     * Fold @p other into this counter.  Slot widths must match (all
-     * cells of one registry series share a width); slots are aligned
-     * by epoch so the merged window equals a single counter fed both
-     * streams.
-     */
-    void
-    merge(const WindowedCounter &other)
-    {
-        total_ += other.total_;
-        for (std::size_t i = 0; i < kSlots; ++i) {
-            if (other.epochs[i] < 0)
-                continue;
-            if (epochs[i] == other.epochs[i]) {
-                slots[i] += other.slots[i];
-            } else if (epochs[i] < other.epochs[i]) {
-                epochs[i] = other.epochs[i];
-                slots[i] = other.slots[i];
-            }
-            // epochs[i] > other.epochs[i]: other's slot is stale
-            // relative to ours — drop it, as add() would have.
-        }
-    }
 
   private:
     SimDuration slot_width;

@@ -155,8 +155,8 @@ SnapshotEmitter::snapshotLine()
         + std::to_string(seq) + ",\"ts_us\":" + std::to_string(now)
         + ",\"window_us\":" + std::to_string(now - last_emit);
 
-    // Counters: instrument series (merged across shards) first, then
-    // counter probes, both rendered with the same shape.
+    // Counters: instruments first, then counter probes, both
+    // rendered with the same shape.
     j += ",\"counters\":{";
     bool first = true;
     auto counterEntry = [&](const std::string &name,
@@ -171,9 +171,9 @@ SnapshotEmitter::snapshotLine()
             + ",\"rate_per_s\":" + jsonNum(rate) + "}";
     };
     for (const auto &name : reg.counterNames()) {
-        WindowedCounter m = reg.mergedCounter(name);
-        counterEntry(name, m.total(), m.inWindow(now),
-                     m.ratePerSec(now));
+        const WindowedCounter &c = *reg.findCounter(name);
+        counterEntry(name, c.total(), c.inWindow(now),
+                     c.ratePerSec(now));
     }
     for (auto &p : reg.counterProbes()) {
         if (p.shard_scoped)
@@ -191,8 +191,6 @@ SnapshotEmitter::snapshotLine()
     j += ",\"gauges\":{";
     first = true;
     for (const auto &name : reg.gaugeNames()) {
-        if (reg.gaugeShardScoped(name))
-            continue;
         const DecayingGauge *g = reg.findGauge(name);
         if (!first)
             j += ",";
@@ -216,11 +214,11 @@ SnapshotEmitter::snapshotLine()
     }
     j += "}";
 
-    // Histograms: merged cells, HDR-style quantiles.
+    // Histograms: HDR-style quantiles.
     j += ",\"hists\":{";
     first = true;
     for (const auto &name : reg.histogramNames()) {
-        LatencyHistogram h = reg.mergedHistogram(name);
+        const LatencyHistogram &h = *reg.findHistogram(name);
         if (!first)
             j += ",";
         first = false;
@@ -252,17 +250,6 @@ SnapshotEmitter::snapshotLine()
             + "\":{\"total\":" + std::to_string(cur)
             + ",\"window\":" + std::to_string(delta) + "}";
     }
-    for (const auto &name : reg.gaugeNames()) {
-        if (!reg.gaugeShardScoped(name))
-            continue;
-        const DecayingGauge *g = reg.findGauge(name);
-        if (!first)
-            j += ",";
-        first = false;
-        j += "\"" + jsonEscape(name)
-            + "\":{\"last\":" + jsonNum(g->last())
-            + ",\"max\":" + jsonNum(g->max()) + "}";
-    }
     j += "}}";
     return j;
 }
@@ -280,12 +267,12 @@ SnapshotEmitter::writeProm()
     SimTime now = sim.now();
 
     for (const auto &name : reg.counterNames()) {
-        WindowedCounter m = reg.mergedCounter(name);
+        const WindowedCounter &c = *reg.findCounter(name);
         std::string pn = "vcp_" + promName(name);
         pf << "# TYPE " << pn << "_total counter\n"
-           << pn << "_total " << m.total() << "\n"
+           << pn << "_total " << c.total() << "\n"
            << "# TYPE " << pn << "_rate_per_s gauge\n"
-           << pn << "_rate_per_s " << jsonNum(m.ratePerSec(now))
+           << pn << "_rate_per_s " << jsonNum(c.ratePerSec(now))
            << "\n";
     }
     for (const auto &p : reg.counterProbes()) {
@@ -307,7 +294,7 @@ SnapshotEmitter::writeProm()
            << pn << " " << jsonNum(p.fn()) << "\n";
     }
     for (const auto &name : reg.histogramNames()) {
-        LatencyHistogram h = reg.mergedHistogram(name);
+        const LatencyHistogram &h = *reg.findHistogram(name);
         std::string pn = "vcp_" + promName(name);
         pf << "# TYPE " << pn << " summary\n"
            << pn << "{quantile=\"0.5\"} " << jsonNum(h.p50()) << "\n"

@@ -2,19 +2,19 @@
  * @file
  * Periodic telemetry snapshot emitter.
  *
- * Every interval the emitter polls the registry's probes, merges the
- * per-shard instrument cells, and writes one newline-delimited JSON
- * object to the metrics stream; alongside it rewrites a Prometheus
+ * Every interval the emitter polls the registry's probes, reads its
+ * instruments, and writes one newline-delimited JSON object to the
+ * metrics stream; alongside it rewrites a Prometheus
  * text-exposition file so an external scraper always sees the latest
  * state.  Like the GaugeSampler, it only schedules sim events once
  * start() is called — a run without metrics keeps a byte-identical
  * event stream.
  *
  * Layout contract: the "shards" key is always the LAST key of a
- * snapshot object.  Everything before it is derived from merged
- * (shard-independent) state, so two runs of the same workload with
- * different --parallel-shards produce identical snapshot prefixes up
- * to `,"shards":` — the determinism tests rely on this.
+ * snapshot object.  Everything before it is shard-independent state,
+ * so two runs of the same workload with different --parallel-shards
+ * produce identical snapshot prefixes up to `,"shards":` — the
+ * determinism tests rely on this.
  *
  * The emitter also keeps the per-window dominant-bottleneck history
  * (bounded: a win counter per util probe plus a fixed-size recent

@@ -1,73 +1,76 @@
 #include "telemetry/telemetry.hh"
 
 #include <algorithm>
-#include <type_traits>
 
 namespace vcp {
+
+namespace {
+
+template <typename T>
+using Named = std::vector<std::pair<std::string, std::unique_ptr<T>>>;
+
+template <typename T, typename... Args>
+T *
+getOrCreate(Named<T> &v, const std::string &name, Args &&...args)
+{
+    for (auto &[n, inst] : v)
+        if (n == name)
+            return inst.get();
+    v.emplace_back(name,
+                   std::make_unique<T>(std::forward<Args>(args)...));
+    return v.back().second.get();
+}
+
+template <typename T>
+const T *
+findNamed(const Named<T> &v, const std::string &name)
+{
+    for (const auto &[n, inst] : v)
+        if (n == name)
+            return inst.get();
+    return nullptr;
+}
+
+template <typename T>
+std::vector<std::string>
+namesOf(const Named<T> &v)
+{
+    std::vector<std::string> out;
+    out.reserve(v.size());
+    for (const auto &entry : v)
+        out.push_back(entry.first);
+    return out;
+}
+
+} // namespace
 
 TelemetryRegistry::TelemetryRegistry(SimDuration window)
     : window_(std::max<SimDuration>(window, WindowedCounter::kSlots))
 {}
 
-template <typename T>
-T *
-TelemetryRegistry::cellFor(Series<T> &s, int shard, SimDuration window)
-{
-    if (shard < 0)
-        shard = 0;
-    auto idx = static_cast<std::size_t>(shard);
-    if (s.cells.size() <= idx)
-        s.cells.resize(idx + 1);
-    if (!s.cells[idx]) {
-        if constexpr (std::is_same_v<T, WindowedCounter>)
-            s.cells[idx] = std::make_unique<T>(window);
-        else
-            s.cells[idx] = std::make_unique<T>();
-    }
-    return s.cells[idx].get();
-}
-
 WindowedCounter *
-TelemetryRegistry::counter(const std::string &name, int shard)
+TelemetryRegistry::counter(const std::string &name)
 {
-    for (auto &s : counters_)
-        if (s.name == name)
-            return cellFor(s, shard, window_);
-    counters_.push_back({name, {}});
-    return cellFor(counters_.back(), shard, window_);
+    return getOrCreate(counters_, name, window_);
 }
 
 LatencyHistogram *
-TelemetryRegistry::histogram(const std::string &name, int shard)
+TelemetryRegistry::histogram(const std::string &name)
 {
-    for (auto &s : hists_)
-        if (s.name == name)
-            return cellFor(s, shard, window_);
-    hists_.push_back({name, {}});
-    return cellFor(hists_.back(), shard, window_);
+    return getOrCreate(hists_, name);
 }
 
 DecayingGauge *
 TelemetryRegistry::gauge(const std::string &name)
 {
-    for (auto &g : gauges_)
-        if (g.first == name)
-            return g.second.get();
-    gauges_.emplace_back(name, std::make_unique<DecayingGauge>(window_));
-    return gauges_.back().second.get();
+    return getOrCreate(gauges_, name, window_);
 }
 
 void
 TelemetryRegistry::addGaugeProbe(const std::string &name,
-                                 std::function<std::int64_t()> fn,
-                                 bool shard_scoped)
+                                 std::function<std::int64_t()> fn)
 {
-    GaugeProbe p;
-    p.name = name;
-    p.fn = std::move(fn);
-    p.shard_scoped = shard_scoped;
-    p.sink = gauge(name);
-    gprobes_.push_back(std::move(p));
+    gprobes_.push_back({name, std::move(fn), gauge(name)});
 }
 
 void
@@ -92,113 +95,55 @@ TelemetryRegistry::sampleGauges(SimTime now)
         p.sink->sample(now, static_cast<double>(p.fn()));
 }
 
-WindowedCounter
-TelemetryRegistry::mergedCounter(const std::string &name) const
-{
-    WindowedCounter out(window_);
-    for (const auto &s : counters_) {
-        if (s.name != name)
-            continue;
-        for (const auto &c : s.cells)
-            if (c)
-                out.merge(*c);
-        break;
-    }
-    return out;
-}
-
-LatencyHistogram
-TelemetryRegistry::mergedHistogram(const std::string &name) const
-{
-    LatencyHistogram out;
-    for (const auto &s : hists_) {
-        if (s.name != name)
-            continue;
-        for (const auto &c : s.cells)
-            if (c)
-                out.merge(*c);
-        break;
-    }
-    return out;
-}
-
 std::vector<std::string>
 TelemetryRegistry::counterNames() const
 {
-    std::vector<std::string> out;
-    out.reserve(counters_.size());
-    for (const auto &s : counters_)
-        out.push_back(s.name);
-    return out;
+    return namesOf(counters_);
 }
 
 std::vector<std::string>
 TelemetryRegistry::histogramNames() const
 {
-    std::vector<std::string> out;
-    out.reserve(hists_.size());
-    for (const auto &s : hists_)
-        out.push_back(s.name);
-    return out;
+    return namesOf(hists_);
 }
 
 std::vector<std::string>
 TelemetryRegistry::gaugeNames() const
 {
-    std::vector<std::string> out;
-    out.reserve(gauges_.size());
-    for (const auto &g : gauges_)
-        out.push_back(g.first);
-    return out;
+    return namesOf(gauges_);
+}
+
+const WindowedCounter *
+TelemetryRegistry::findCounter(const std::string &name) const
+{
+    return findNamed(counters_, name);
+}
+
+const LatencyHistogram *
+TelemetryRegistry::findHistogram(const std::string &name) const
+{
+    return findNamed(hists_, name);
 }
 
 const DecayingGauge *
 TelemetryRegistry::findGauge(const std::string &name) const
 {
-    for (const auto &g : gauges_)
-        if (g.first == name)
-            return g.second.get();
-    return nullptr;
-}
-
-bool
-TelemetryRegistry::gaugeShardScoped(const std::string &name) const
-{
-    for (const auto &p : gprobes_)
-        if (p.name == name)
-            return p.shard_scoped;
-    return false;
+    return findNamed(gauges_, name);
 }
 
 std::size_t
 TelemetryRegistry::numInstruments() const
 {
-    std::size_t n = gauges_.size() + utils_.size() + cprobes_.size()
-        + gprobes_.size();
-    for (const auto &s : counters_)
-        for (const auto &c : s.cells)
-            if (c)
-                ++n;
-    for (const auto &s : hists_)
-        for (const auto &c : s.cells)
-            if (c)
-                ++n;
-    return n;
+    return counters_.size() + hists_.size() + gauges_.size()
+        + utils_.size() + cprobes_.size() + gprobes_.size();
 }
 
 std::size_t
 TelemetryRegistry::footprintBytes() const
 {
-    std::size_t b = gauges_.size() * sizeof(DecayingGauge);
-    for (const auto &s : counters_)
-        for (const auto &c : s.cells)
-            if (c)
-                b += sizeof(WindowedCounter);
-    for (const auto &s : hists_)
-        for (const auto &c : s.cells)
-            if (c)
-                b += sizeof(LatencyHistogram);
-    return b;
+    return counters_.size() * sizeof(WindowedCounter)
+        + hists_.size() * sizeof(LatencyHistogram)
+        + gauges_.size() * sizeof(DecayingGauge);
 }
 
 } // namespace vcp

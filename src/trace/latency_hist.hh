@@ -1,9 +1,9 @@
 /**
  * @file
- * Fixed-bucket latency histogram for the tracer hot path.
+ * Fixed-bucket latency histogram for the tracer and telemetry hot paths.
  *
- * The tracer feeds one histogram cell on *every* phase and op record,
- * so its add() has a tighter budget than the general-purpose
+ * The tracer feeds one histogram on *every* phase and op record, and
+ * telemetry one per latency series, so its add() has a tighter budget than the general-purpose
  * stats::Histogram (whose Welford update costs a hardware divide per
  * sample).  Durations are integer sim microseconds, which admits an
  * HdrHistogram-style bucketing: the bucket index comes from the
@@ -14,8 +14,8 @@
  * handful of integer ops: no divide, no float math, no allocation.
  *
  * Mean is exact (integer sum / count); quantiles interpolate within
- * the containing bucket and are clamped to the observed min/max, so
- * single-sample cells report that sample for every percentile.
+ * the containing bucket and are clamped to the observed min/max, so a
+ * single-sample histogram reports that sample for every percentile.
  */
 
 #ifndef VCP_TRACE_LATENCY_HIST_HH
@@ -108,27 +108,6 @@ class LatencyHistogram
     reset()
     {
         *this = LatencyHistogram();
-    }
-
-    /**
-     * Fold @p other into this histogram.  Buckets are fixed and
-     * identical for every instance, so the merge is exact: a merged
-     * histogram reports the same counts, sum, min/max, and quantiles
-     * as one histogram fed the union of both sample streams.  This is
-     * what lets per-shard telemetry instruments collapse into one
-     * unified export series.
-     */
-    void
-    merge(const LatencyHistogram &other)
-    {
-        if (other.n == 0)
-            return;
-        for (std::size_t i = 0; i < kNumBuckets; ++i)
-            counts[i] += other.counts[i];
-        n += other.n;
-        total += other.total;
-        lo = std::min(lo, other.lo);
-        hi = std::max(hi, other.hi);
     }
 
     /**

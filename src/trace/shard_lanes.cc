@@ -1,6 +1,7 @@
 #include "trace/shard_lanes.hh"
 
-#include "sim/shard.hh"
+#include <string>
+
 #include "sim/sharded_simulator.hh"
 #include "trace/tracer.hh"
 
@@ -14,7 +15,7 @@ flushShardLanes(const ShardedSimulator &engine, SpanTracer &tracer)
     for (ShardId s = 0;
          s < static_cast<ShardId>(engine.numShards()); ++s) {
         tracer.recordCounter(
-            tracer.intern(ShardMap::label(s) + ".events"),
+            tracer.intern("shard" + std::to_string(s) + ".events"),
             engine.shard(s).now(),
             static_cast<std::int64_t>(engine.shardStats(s).events));
     }

@@ -192,16 +192,15 @@ ChaosEngine::attachTelemetry(TelemetryRegistry *reg)
     // Instruments are created eagerly so every configured family's
     // series exists (at zero) from the first snapshot on, whether or
     // not its lane ever fires.
-    int shard = static_cast<int>(sim.shardId());
-    t_injected = telem->counter("chaos.injected", shard);
-    t_recovered = telem->counter("chaos.recovered", shard);
-    t_recovery_us = telem->histogram("chaos.recovery_us", shard);
+    t_injected = telem->counter("chaos.injected");
+    t_recovered = telem->counter("chaos.recovered");
+    t_recovery_us = telem->histogram("chaos.recovery_us");
     for (const Lane &l : lanes) {
         std::size_t f = static_cast<std::size_t>(l.spec.family);
         std::string base =
             std::string("chaos.") + faultFamilyName(l.spec.family);
-        t_fam_injected[f] = telem->counter(base + ".injected", shard);
-        t_fam_recovered[f] = telem->counter(base + ".recovered", shard);
+        t_fam_injected[f] = telem->counter(base + ".injected");
+        t_fam_recovered[f] = telem->counter(base + ".recovered");
     }
 }
 

@@ -93,13 +93,11 @@ cloudBSpec()
 }
 
 // Runs between engine_ and srv_ in the member-init sequence: by the
-// time the server copies its config, the plan points at the live
-// engine and the map matches the actual shard count.
+// time the server copies its config, it points at the live engine.
 const ManagementServerConfig &
 CloudSimulation::shardedServerConfig()
 {
-    spec_.server.shard_plan.engine = &engine_;
-    spec_.server.shard_plan.map = ShardMap(engine_.numShards());
+    spec_.server.engine = &engine_;
     return spec_.server;
 }
 

@@ -186,7 +186,7 @@ class CloudSimulation
     }
 
   private:
-    /** Binds spec_.server.shard_plan to engine_ (init-order helper:
+    /** Binds spec_.server.engine to engine_ (init-order helper:
      *  runs after spec_ and engine_, before srv_). */
     const ManagementServerConfig &shardedServerConfig();
 

@@ -228,6 +228,32 @@ TEST_F(FederationTest, EngineShardsGetPrivateRegistries)
     EXPECT_EQ(&fed.shardStats(0), &stats);
 }
 
+/** With an engine attached, every component of domain d — agents,
+ *  datastore slots, database, lock manager — binds to execution
+ *  shard d % K, so each domain stays closed on one shard. */
+TEST_F(FederationTest, EngineKeepsEachDomainOnOneShard)
+{
+    ShardedSimulator eng(4, 5);
+    StatRegistry st;
+    FederationConfig cfg = smallFederation(6);
+    cfg.hosts_per_shard = 3;
+    cfg.datastores_per_shard = 2;
+    cfg.engine = &eng;
+    CloudFederation f(eng.shard(0), st, cfg);
+    for (std::size_t d = 0; d < f.numShards(); ++d) {
+        ManagementServer &srv = f.shardServer(d);
+        const ShardId want = static_cast<ShardId>(d % 4);
+        EXPECT_EQ(srv.database().shard(), want) << "domain " << d;
+        EXPECT_EQ(srv.lockManager().shard(), want) << "domain " << d;
+        for (HostId h : srv.inventory().hostIds())
+            EXPECT_EQ(srv.hostAgent(h).shard(), want)
+                << "domain " << d << " host " << h.value;
+        for (DatastoreId ds : srv.inventory().datastoreIds())
+            EXPECT_EQ(srv.datastoreSlots(ds).shard(), want)
+                << "domain " << d << " datastore " << ds.value;
+    }
+}
+
 TEST_F(FederationTest, RoutingNames)
 {
     EXPECT_STREQ(shardRoutingName(ShardRouting::RoundRobin),

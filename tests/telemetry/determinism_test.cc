@@ -1,7 +1,7 @@
 /**
  * @file
  * End-to-end telemetry determinism: a CloudSimulation exporting
- * streaming snapshots must emit identical merged series for every
+ * streaming snapshots must emit identical series for every
  * --parallel-shards count.  Everything up to the trailing "shards"
  * key of each line is compared byte-for-byte (the shard-scoped
  * section legitimately differs — that is the point of having it

@@ -1,17 +1,14 @@
 /**
  * @file
- * Instrument-primitive tests: sliding-window counter semantics, the
- * decaying gauge, and — the property the per-shard export rests on —
- * merge identity: N cells fed disjoint streams and then merged must
- * equal one cell fed the interleaved stream.
+ * Instrument-primitive tests: sliding-window counter semantics and
+ * the decaying gauge.
  */
 
 #include <gtest/gtest.h>
 
-#include <random>
+#include <cmath>
 
 #include "telemetry/instruments.hh"
-#include "trace/latency_hist.hh"
 
 namespace vcp {
 namespace {
@@ -48,45 +45,6 @@ TEST(WindowedCounter, ZeroEventsInWindowReadsZero)
     c.add(seconds(1));
     EXPECT_EQ(c.inWindow(seconds(1)), 1u);
     EXPECT_EQ(c.inWindow(seconds(30)), 0u);
-}
-
-TEST(WindowedCounter, MergeEqualsSingleCounterOracle)
-{
-    // Interleave a deterministic event stream across 4 "shard" cells;
-    // the merged view must match one counter that saw everything.
-    WindowedCounter oracle(seconds(16));
-    WindowedCounter cells[4] = {
-        WindowedCounter(seconds(16)), WindowedCounter(seconds(16)),
-        WindowedCounter(seconds(16)), WindowedCounter(seconds(16))};
-
-    std::mt19937 rng(7);
-    SimTime t = 0;
-    for (int i = 0; i < 500; ++i) {
-        t += static_cast<SimTime>(rng() % usec(900'000));
-        std::uint64_t n = 1 + rng() % 3;
-        oracle.add(t, n);
-        cells[rng() % 4].add(t, n);
-    }
-
-    WindowedCounter merged(seconds(16));
-    for (const auto &c : cells)
-        merged.merge(c);
-
-    EXPECT_EQ(merged.total(), oracle.total());
-    EXPECT_EQ(merged.inWindow(t), oracle.inWindow(t));
-    EXPECT_DOUBLE_EQ(merged.ratePerSec(t), oracle.ratePerSec(t));
-}
-
-TEST(WindowedCounter, MergeDropsSlotsStaleRelativeToOurs)
-{
-    WindowedCounter fresh(seconds(8)), stale(seconds(8));
-    stale.add(seconds(1), 10); // epoch 1
-    fresh.add(seconds(9), 2);  // same ring slot, 8 epochs later
-    fresh.merge(stale);
-    // The stale shard's slot is outside the fresh window — dropped,
-    // exactly as add() would have evicted it.
-    EXPECT_EQ(fresh.inWindow(seconds(9)), 2u);
-    EXPECT_EQ(fresh.total(), 12u); // totals always accumulate
 }
 
 TEST(DecayingGauge, FirstSampleSeedsEwma)
@@ -144,46 +102,6 @@ TEST(DecayingGauge, EmptyGaugeReadsZero)
     EXPECT_DOUBLE_EQ(g.min(), 0.0);
     EXPECT_DOUBLE_EQ(g.max(), 0.0);
     EXPECT_EQ(g.samples(), 0u);
-}
-
-TEST(LatencyHistogram, MergeEqualsSingleHistogramOracle)
-{
-    LatencyHistogram oracle, a, b, c;
-    std::mt19937 rng(11);
-    for (int i = 0; i < 2000; ++i) {
-        auto v = static_cast<SimDuration>(1 + rng() % 5'000'000);
-        oracle.add(v);
-        (i % 3 == 0 ? a : i % 3 == 1 ? b : c).add(v);
-    }
-    LatencyHistogram merged;
-    merged.merge(a);
-    merged.merge(b);
-    merged.merge(c);
-
-    EXPECT_EQ(merged.count(), oracle.count());
-    EXPECT_DOUBLE_EQ(merged.sum(), oracle.sum());
-    EXPECT_DOUBLE_EQ(merged.min(), oracle.min());
-    EXPECT_DOUBLE_EQ(merged.max(), oracle.max());
-    // Bucketed, so quantiles are *exactly* equal, not just close.
-    EXPECT_DOUBLE_EQ(merged.p50(), oracle.p50());
-    EXPECT_DOUBLE_EQ(merged.p95(), oracle.p95());
-    EXPECT_DOUBLE_EQ(merged.p99(), oracle.p99());
-}
-
-TEST(LatencyHistogram, MergeOfEmptyIsIdentity)
-{
-    LatencyHistogram h, empty;
-    h.add(usec(500));
-    LatencyHistogram before = h;
-    h.merge(empty);
-    EXPECT_EQ(h.count(), 1u);
-    EXPECT_DOUBLE_EQ(h.min(), before.min());
-    EXPECT_DOUBLE_EQ(h.max(), before.max());
-
-    LatencyHistogram onto_empty;
-    onto_empty.merge(h);
-    EXPECT_EQ(onto_empty.count(), 1u);
-    EXPECT_DOUBLE_EQ(onto_empty.p50(), h.p50());
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
- * Registry + snapshot-emitter tests: per-shard cells merging into one
- * unified series, the snapshot edge cases (a window with zero events;
+ * Registry + snapshot-emitter tests: one instrument per name, the
+ * snapshot edge cases (a window with zero events;
  * a run shorter than one window), the health report, and the
  * O(instruments) footprint contract.
  */
@@ -10,6 +10,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.hh"
 #include "telemetry/health.hh"
@@ -19,31 +20,33 @@
 namespace vcp {
 namespace {
 
-TEST(TelemetryRegistry, ShardCellsMergeIntoOneSeries)
+TEST(TelemetryRegistry, GetOrCreateKeepsOneInstrumentPerName)
 {
     TelemetryRegistry reg(seconds(8));
-    WindowedCounter *s0 = reg.counter("ops", 0);
-    WindowedCounter *s1 = reg.counter("ops", 1);
-    ASSERT_NE(s0, s1);
-    EXPECT_EQ(reg.counter("ops", 0), s0); // get-or-create is stable
+    WindowedCounter *c = reg.counter("ops");
+    EXPECT_EQ(reg.counter("ops"), c); // same pointer per name
+    EXPECT_NE(reg.counter("other"), c);
+    c->add(seconds(1), 2);
+    EXPECT_EQ(reg.findCounter("ops"), c);
+    EXPECT_EQ(reg.findCounter("ops")->total(), 2u);
+    EXPECT_EQ(reg.findCounter("missing"), nullptr);
 
-    s0->add(seconds(1), 2);
-    s1->add(seconds(2), 3);
-    WindowedCounter merged = reg.mergedCounter("ops");
-    EXPECT_EQ(merged.total(), 5u);
-    EXPECT_EQ(merged.inWindow(seconds(2)), 5u);
+    LatencyHistogram *h = reg.histogram("lat");
+    EXPECT_EQ(reg.histogram("lat"), h);
+    h->add(100);
+    EXPECT_EQ(reg.findHistogram("lat"), h);
+    EXPECT_EQ(reg.findHistogram("missing"), nullptr);
 
-    LatencyHistogram *h0 = reg.histogram("lat", 0);
-    LatencyHistogram *h1 = reg.histogram("lat", 3);
-    h0->add(100);
-    h1->add(300);
-    LatencyHistogram mh = reg.mergedHistogram("lat");
-    EXPECT_EQ(mh.count(), 2u);
-    EXPECT_DOUBLE_EQ(mh.min(), 100.0);
-    EXPECT_DOUBLE_EQ(mh.max(), 300.0);
+    DecayingGauge *g = reg.gauge("q");
+    EXPECT_EQ(reg.gauge("q"), g);
+    EXPECT_EQ(reg.findGauge("q"), g);
+    EXPECT_EQ(reg.findGauge("missing"), nullptr);
 
-    EXPECT_EQ(reg.counterNames().size(), 1u);
-    EXPECT_EQ(reg.histogramNames().size(), 1u);
+    // Names are listed once each, in registration order.
+    EXPECT_EQ(reg.counterNames(),
+              (std::vector<std::string>{"ops", "other"}));
+    EXPECT_EQ(reg.histogramNames(), std::vector<std::string>{"lat"});
+    EXPECT_EQ(reg.gaugeNames(), std::vector<std::string>{"q"});
 }
 
 TEST(TelemetryRegistry, GaugeProbesSampleIntoDecayingGauges)

@@ -77,17 +77,30 @@ TEST(ShardedProfile, AgentsAndDatastoresSpreadOffControlShard)
     EXPECT_EQ(cs.server().lockManager().shard(), 0u);
     EXPECT_EQ(cs.cloud().shard(), 0u);
 
-    // ...while per-host agents land on shards 1..K-1 and actually
-    // execute events there.
-    bool off_control = false;
-    for (HostId h : cs.hostIds())
-        off_control |= cs.server().hostAgent(h).shard() != 0;
-    EXPECT_TRUE(off_control);
+    // ...while the agent and datastore slot center of slot i land on
+    // shard 1 + i % (K-1) and actually execute events there.
+    for (HostId h : cs.hostIds()) {
+        ASSERT_TRUE(h.hasSlot());
+        EXPECT_EQ(cs.server().hostAgent(h).shard(), 1 + h.slot % 3)
+            << "host slot " << h.slot;
+    }
+    for (DatastoreId d : cs.datastoreIds()) {
+        ASSERT_TRUE(d.hasSlot());
+        EXPECT_EQ(cs.server().datastoreSlots(d).shard(), 1 + d.slot % 3)
+            << "datastore slot " << d.slot;
+    }
     std::uint64_t spread_events = 0;
     for (int s = 1; s < cs.engine().numShards(); ++s)
         spread_events +=
             cs.engine().shardStats(static_cast<ShardId>(s)).events;
     EXPECT_GT(spread_events, 0u);
+
+    // One shard: everything binds to the control kernel.
+    CloudSimulation one(smallCloudA(1), 42);
+    for (HostId h : one.hostIds())
+        EXPECT_EQ(one.server().hostAgent(h).shard(), 0u);
+    for (DatastoreId d : one.datastoreIds())
+        EXPECT_EQ(one.server().datastoreSlots(d).shard(), 0u);
 }
 
 } // namespace

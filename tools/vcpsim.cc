@@ -138,6 +138,21 @@ parsePositiveInt(const char *flag, const char *value)
     return v;
 }
 
+/** Parse --parallel-shards: a positive count up to the engine's
+ *  limit (a larger one would abort in the engine's constructor). */
+int
+parseShardCount(const char *flag, const char *value)
+{
+    int v = parsePositiveInt(flag, value);
+    if (v > vcp::ShardedSimulator::kMaxShards) {
+        std::fprintf(stderr,
+                     "vcpsim: %s is at most %d, got %d\n", flag,
+                     vcp::ShardedSimulator::kMaxShards, v);
+        std::exit(2);
+    }
+    return v;
+}
+
 /**
  * Parse a strictly positive real option value ("0.5", "24").  The
  * std::atof these sites used silently turned garbage into 0.0, so
@@ -295,7 +310,7 @@ sweepMain(int argc, char **argv)
             jobs = 1;
         } else if (arg == "--parallel-shards") {
             spec.exec.shards =
-                parsePositiveInt("--parallel-shards", next());
+                parseShardCount("--parallel-shards", next());
         } else if (arg == "--csv") {
             csv_path = next();
         } else {
@@ -407,7 +422,7 @@ vcpsimMain(int argc, char **argv)
             spec.infra.hosts = parsePositiveInt("--hosts", next());
         } else if (arg == "--parallel-shards") {
             spec.exec.shards =
-                parsePositiveInt("--parallel-shards", next());
+                parseShardCount("--parallel-shards", next());
         } else if (arg == "--mtbf") {
             mtbf_hours = parseNonNegativeDouble("--mtbf", next());
         } else if (arg == "--chaos") {
