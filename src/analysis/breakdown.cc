@@ -102,25 +102,4 @@ spanBreakdownTable(const SpanTracer &tracer)
     return t;
 }
 
-Table
-spanPhasePercentiles(const SpanTracer &tracer, std::size_t op)
-{
-    Table t({"phase", "count", "mean_ms", "p50_ms", "p95_ms",
-             "p99_ms"});
-    const auto &phases = tracer.phaseNames();
-    for (std::size_t p = 0; p < phases.size(); ++p) {
-        const LatencyHistogram &h = tracer.phaseHistogram(op, p);
-        if (h.count() == 0)
-            continue;
-        t.row().cell(phases[p]);
-        percentileCells(t, h);
-    }
-    const LatencyHistogram &oh = tracer.opHistogram(op);
-    if (oh.count() > 0) {
-        t.row().cell("total");
-        percentileCells(t, oh);
-    }
-    return t;
-}
-
 } // namespace vcp

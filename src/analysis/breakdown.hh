@@ -54,12 +54,6 @@ class SpanTracer;
  */
 Table spanBreakdownTable(const SpanTracer &tracer);
 
-/**
- * Single-op variant of spanBreakdownTable: the per-phase percentile
- * rows of op-type index @p op only (same columns, no "op" column).
- */
-Table spanPhasePercentiles(const SpanTracer &tracer, std::size_t op);
-
 } // namespace vcp
 
 #endif // VCP_ANALYSIS_BREAKDOWN_HH

@@ -128,7 +128,6 @@ class CloudDirector
     /** @{ vApp access. */
     bool hasVApp(VAppId id) const { return vapps.count(id) > 0; }
     const VApp &vapp(VAppId id) const;
-    std::size_t numVApps() const { return vapps.size(); }
     /** @} */
 
     /** Shard the director's workflow events execute on. */

@@ -7,6 +7,8 @@
  * recovery boot storm, when the reconnected host's VMs all power on
  * through the control plane at once.  HA restart load is one of the
  * "previously infrequent operations" that cloud scale turns routine.
+ * Crashes are driven by the chaos engine's crash lanes (chaos.hh),
+ * including the --mtbf failure injector (failures.hh), or by hand.
  */
 
 #ifndef VCP_CLOUD_HA_MANAGER_HH
@@ -53,11 +55,9 @@ class HaManager
         return crashed.count(host) > 0;
     }
 
-    /** @{ Component access (the failure injector builds on these). */
+    /** The server the workflows run on (the failure injector's
+     *  one-lane chaos scenario targets it). */
     ManagementServer &server() { return srv; }
-    Inventory &inventory() { return inv; }
-    Simulator &simulator() { return srv.simulator(); }
-    /** @} */
 
     /** @{ Lifetime counters. */
     std::uint64_t crashes() const { return crash_count; }

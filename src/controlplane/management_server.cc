@@ -312,7 +312,6 @@ ManagementServer::reconcileResync(std::uint32_t idx)
 
     ++reconcile_runs;
     reconcile_resumed += resumed;
-    reconcile_residency_fixed += fixed;
     if (!reconciles_stat)
         reconciles_stat = &stats.counter("agent.reconciles");
     reconciles_stat->inc();
@@ -463,26 +462,6 @@ ManagementServer::agentMeanUtilization() const
         }
     }
     return n ? sum / static_cast<double>(n) : 0.0;
-}
-
-int
-ManagementServer::datastoreSlotsBusy() const
-{
-    int n = 0;
-    for (const auto &d : ds_slots)
-        if (d)
-            n += d->busyServers();
-    return n;
-}
-
-std::size_t
-ManagementServer::datastoreQueueLength() const
-{
-    std::size_t n = 0;
-    for (const auto &d : ds_slots)
-        if (d)
-            n += d->queueLength();
-    return n;
 }
 
 double

@@ -145,7 +145,6 @@ class ManagementServer
     TaskScheduler &scheduler() { return sched; }
     InventoryDatabase &database() { return db; }
     LockManager &lockManager() { return locks; }
-    TenantRateLimiter &rateLimiter() { return limiter; }
     OpCostModel &costModel() { return costs; }
     ServiceCenter &apiCenter() { return api; }
     HostAgent &hostAgent(HostId h);
@@ -192,10 +191,6 @@ class ManagementServer
     std::uint64_t reconcileOpsResumed() const
     {
         return reconcile_resumed;
-    }
-    std::uint64_t reconcileResidencyFixed() const
-    {
-        return reconcile_residency_fixed;
     }
     /** @} */
 
@@ -244,8 +239,6 @@ class ManagementServer
     int agentSlotsBusy() const;
     std::size_t agentQueueLength() const;
     double agentMeanUtilization() const;
-    int datastoreSlotsBusy() const;
-    std::size_t datastoreQueueLength() const;
     double datastoreMeanUtilization() const;
     /** @} */
 
@@ -457,7 +450,6 @@ class ManagementServer
     std::uint64_t agent_disconnects = 0;
     std::uint64_t reconcile_runs = 0;
     std::uint64_t reconcile_resumed = 0;
-    std::uint64_t reconcile_residency_fixed = 0;
     Counter *disconnects_stat = nullptr;
     Counter *reconciles_stat = nullptr;
     Counter *resumed_stat = nullptr;

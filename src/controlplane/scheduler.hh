@@ -68,7 +68,6 @@ class TaskScheduler
 
     std::size_t queueLength() const { return queued; }
     int inFlight() const { return running; }
-    int dispatchWidth() const { return width; }
     SchedPolicy policy() const { return sched_policy; }
 
     /** Queue-wait distribution in microseconds. */

@@ -90,11 +90,8 @@ class Task
                task_state == TaskState::Failed;
     }
 
-    /** @{ Lifecycle timestamps (set by the management server). */
+    /** Submission timestamp (set by the management server). */
     SimTime submittedAt() const { return submitted; }
-    SimTime startedAt() const { return started; }
-    SimTime finishedAt() const { return completed; }
-    /** @} */
 
     /** End-to-end latency; 0 until finished. */
     SimDuration

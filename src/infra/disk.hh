@@ -31,9 +31,6 @@ enum class DiskKind
     SnapshotDelta,
 };
 
-/** @return short lowercase name for a DiskKind. */
-const char *diskKindName(DiskKind k);
-
 /** One virtual disk in the inventory. */
 struct VirtualDisk
 {

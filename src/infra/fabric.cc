@@ -10,18 +10,6 @@
 
 namespace vcp {
 
-const char *
-fabricPresetName(FabricPreset p)
-{
-    switch (p) {
-    case FabricPreset::SingleLink:
-        return "single-link";
-    case FabricPreset::LeafSpine:
-        return "leaf-spine";
-    }
-    return "?";
-}
-
 bool
 fabricPresetFromName(const std::string &name, FabricPreset &out)
 {

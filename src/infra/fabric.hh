@@ -81,9 +81,6 @@ enum class FabricPreset
     LeafSpine,
 };
 
-/** Stable name for a preset ("single-link", "leaf-spine"). */
-const char *fabricPresetName(FabricPreset p);
-
 /** Parse a preset name; false if unknown. */
 bool fabricPresetFromName(const std::string &name, FabricPreset &out);
 
@@ -221,7 +218,6 @@ class Fabric
 
     /** @{ Introspection. */
     bool degenerate() const { return degenerate_; }
-    std::size_t numNodes() const { return nodes_.size(); }
     std::size_t numLinks() const { return links_.size(); }
     std::size_t activeTransfers() const { return transfers_.size(); }
 

@@ -239,12 +239,6 @@ Inventory::datastoreIds() const
     return datastores_.ids();
 }
 
-std::vector<ClusterId>
-Inventory::clusterIds() const
-{
-    return clusters.ids();
-}
-
 std::vector<VmId>
 Inventory::vmIds() const
 {

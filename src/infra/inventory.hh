@@ -130,16 +130,13 @@ class Inventory
     /** @{ Id enumeration (sorted for determinism). */
     std::vector<HostId> hostIds() const;
     std::vector<DatastoreId> datastoreIds() const;
-    std::vector<ClusterId> clusterIds() const;
     std::vector<VmId> vmIds() const;
     std::vector<DiskId> diskIds() const;
     /** @} */
 
     std::size_t numHosts() const { return hosts.size(); }
     std::size_t numDatastores() const { return datastores_.size(); }
-    std::size_t numClusters() const { return clusters.size(); }
     std::size_t numVms() const { return vms.size(); }
-    std::size_t numDisks() const { return disks.size(); }
 
     /** Total VMs ever created (for churn accounting). */
     std::uint64_t vmsEverCreated() const { return vm_creations; }

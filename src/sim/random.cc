@@ -92,20 +92,6 @@ Rng::pareto(double alpha, double xm)
     return xm / std::pow(u, 1.0 / alpha);
 }
 
-double
-Rng::weibull(double k, double lambda)
-{
-    std::weibull_distribution<double> d(k, lambda);
-    return d(engine);
-}
-
-std::int64_t
-Rng::zipf(std::int64_t n, double s)
-{
-    ZipfSampler z(n, s);
-    return z(*this);
-}
-
 std::size_t
 Rng::discrete(const std::vector<double> &weights)
 {

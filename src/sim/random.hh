@@ -60,16 +60,6 @@ class Rng
     /** Pareto with shape alpha and minimum xm. */
     double pareto(double alpha, double xm);
 
-    /** Weibull with shape k and scale lambda. */
-    double weibull(double k, double lambda);
-
-    /**
-     * Zipf-distributed rank in [0, n) with skew s (s = 0 is uniform).
-     * Uses rejection-inversion; O(1) per draw after O(1) setup per
-     * call signature is not cached, so prefer ZipfSampler for hot use.
-     */
-    std::int64_t zipf(std::int64_t n, double s);
-
     /**
      * Sample an index from a discrete distribution given by
      * (unnormalized) non-negative weights.

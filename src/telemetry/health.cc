@@ -14,13 +14,15 @@ namespace {
 
 /**
  * Util-probe names for data-plane resources; everything else
- * (api threads, dispatch slots, db pool, host agents) is the
- * management control plane the paper interrogates.
+ * (api threads, dispatch slots, db pool, host agents, per-datastore
+ * admission slots) is the management control plane the paper
+ * interrogates.  "util.datastores" reads the admission slots, not
+ * the copy pipes, so it is control plane, as in analysis/bottleneck.
  */
 bool
 isDataPlane(const std::string &name)
 {
-    return name == "util.fabric" || name == "util.datastores";
+    return name == "util.fabric";
 }
 
 } // namespace

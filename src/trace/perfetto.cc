@@ -11,51 +11,20 @@
 #include <vector>
 
 #include "sim/logging.hh"
+#include "telemetry/json_util.hh"
 
 namespace vcp {
 
 namespace {
 
-/** JSON string escape; applied once per name table, not per event. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
+/** JSON-escape a name table once, so events never escape. */
 std::vector<std::string>
 escapeAll(const std::vector<std::string> &names)
 {
     std::vector<std::string> out;
     out.reserve(names.size());
     for (const std::string &n : names)
-        out.push_back(jsonEscape(n));
+        out.push_back(telemetry::jsonEscape(n));
     return out;
 }
 

@@ -141,13 +141,14 @@ parseChaosSpec(const std::string &spec, ChaosConfig &out,
 }
 
 ChaosEngine::ChaosEngine(ManagementServer &srv_, HaManager &ha_,
-                         const ChaosConfig &cfg_, Rng rng_)
+                         const ChaosConfig &cfg_, Rng rng_,
+                         bool fork_lanes)
     : srv(srv_), ha(ha_), inv(srv_.inventory()),
       sim(srv_.simulator()), cfg(cfg_)
 {
     lanes.reserve(cfg.faults.size());
     for (const FaultSpec &fs : cfg.faults)
-        lanes.push_back(Lane{fs, rng_.fork()});
+        lanes.push_back(Lane{fs, fork_lanes ? rng_.fork() : rng_});
 }
 
 void
@@ -303,9 +304,9 @@ ChaosEngine::injectCrash(Lane &l)
     ha.crashHost(victim);
     countInjected(FaultFamily::HostCrash);
     sim.schedule(drawDuration(l), [this, victim, at] {
-        // Like the failure injector, a stopped scenario leaves its
-        // crashed hosts down — nothing the engine scheduled mutates
-        // the cloud after stop().
+        // A stopped scenario leaves its crashed hosts down —
+        // nothing the engine scheduled mutates the cloud after
+        // stop().
         if (!running)
             return;
         ha.recoverHost(victim, [this, at](bool ok) {

@@ -3,11 +3,9 @@
  * Chaos scenario engine: deterministic, seeded schedules of faults
  * across every layer the control plane depends on.
  *
- * The failure injector (failures.hh) drives exactly one fault family
- * — host crashes with HA recovery.  The chaos engine generalizes it
- * into independent *lanes*, one per configured fault, each with its
- * own forked RNG stream drawing exponential inter-injection gaps and
- * fault durations:
+ * A scenario is a set of independent *lanes*, one per configured
+ * fault, each with its own forked RNG stream drawing exponential
+ * inter-injection gaps and fault durations:
  *
  *  - crash:       abrupt host death + HA boot-storm recovery
  *  - disconnect:  the host *agent* goes dark (VMs keep running);
@@ -21,6 +19,8 @@
  * Every event is scheduled on the control-shard kernel, so a chaos
  * scenario is byte-identical across --parallel-shards merge mode for
  * any shard count, and identical for a fixed seed by construction.
+ * The --mtbf failure injector (failures.hh) is this engine with one
+ * crash lane that draws from the stream it is handed, unforked.
  * NOTE: lanes re-arm indefinitely — drive such simulations with
  * runUntil().
  */
@@ -113,7 +113,9 @@ class ChaosEngine
      *        lanes do not perturb one another's schedules.
      */
     ChaosEngine(ManagementServer &srv, HaManager &ha,
-                const ChaosConfig &cfg, Rng rng);
+                const ChaosConfig &cfg, Rng rng)
+        : ChaosEngine(srv, ha, cfg, rng, true)
+    {}
 
     ChaosEngine(const ChaosEngine &) = delete;
     ChaosEngine &operator=(const ChaosEngine &) = delete;
@@ -123,10 +125,11 @@ class ChaosEngine
 
     /**
      * Stop injecting.  Host faults stay as they are (a stopped
-     * scenario leaves crashed/dark hosts down, matching the failure
-     * injector); already-scheduled *environmental* heals (db stall,
-     * link, switch) still fire so the plant does not stay broken by
-     * an artifact of when stop() ran — they just no longer count.
+     * scenario leaves crashed/dark hosts down: nothing it scheduled
+     * mutates a host after stop()); already-scheduled *environmental*
+     * heals (db stall, link, switch) still fire so the plant does not
+     * stay broken by an artifact of when stop() ran — they just no
+     * longer count.
      */
     void stop() { running = false; }
 
@@ -154,6 +157,15 @@ class ChaosEngine
     std::uint64_t recovered() const { return recovered_total; }
     const ChaosConfig &config() const { return cfg; }
     /** @} */
+
+  protected:
+    /**
+     * @param fork_lanes false hands @p rng itself to the single lane
+     *        of @p cfg (at most one), so that lane draws exactly the
+     *        stream the caller passed; the failure injector's form.
+     */
+    ChaosEngine(ManagementServer &srv, HaManager &ha,
+                const ChaosConfig &cfg, Rng rng, bool fork_lanes);
 
   private:
     struct Lane

@@ -4,8 +4,11 @@
  *
  * Outage arrivals are Poisson across the whole plant (mean time
  * between failures), outage durations are exponential, and recovery
- * runs the HA boot-storm workflow.  NOTE: the injector re-arms
- * itself indefinitely — drive such simulations with runUntil().
+ * runs the HA boot-storm workflow.  The injector is a one-lane chaos
+ * scenario (chaos.hh): a single crash lane drawing gaps, victims and
+ * outages from the stream it is handed, unforked, so --mtbf runs keep
+ * the RNG call order they always had.  NOTE: the lane re-arms itself
+ * indefinitely — drive such simulations with runUntil().
  */
 
 #ifndef VCP_WORKLOAD_FAILURES_HH
@@ -13,8 +16,7 @@
 
 #include <cstdint>
 
-#include "cloud/ha_manager.hh"
-#include "sim/random.hh"
+#include "workload/chaos.hh"
 
 namespace vcp {
 
@@ -29,43 +31,37 @@ struct FailureConfig
 };
 
 /** Drives random host crash/recovery cycles through an HaManager. */
-class FailureInjector
+class FailureInjector : public ChaosEngine
 {
   public:
     /**
      * @param ha crash/recovery workflows.
      * @param cfg failure parameters.
-     * @param rng private random stream.
+     * @param rng private random stream, drawn from directly.
      */
-    FailureInjector(HaManager &ha, const FailureConfig &cfg, Rng rng);
+    FailureInjector(HaManager &ha, const FailureConfig &cfg, Rng rng)
+        : ChaosEngine(ha.server(), ha, crashScenario(cfg), rng, false)
+    {}
 
-    FailureInjector(const FailureInjector &) = delete;
-    FailureInjector &operator=(const FailureInjector &) = delete;
-
-    /** Arm the injector (schedules the first failure). */
-    void start();
-
-    /** Stop scheduling further failures (in-flight ones complete). */
-    void stop() { running = false; }
-
-    std::uint64_t outages() const { return outage_count; }
-    std::uint64_t recoveries() const { return recovery_count; }
+    std::uint64_t outages() const { return crashes().injected; }
+    std::uint64_t recoveries() const { return crashes().recovered; }
 
   private:
-    void scheduleNext();
-    void fire();
+    /** One crash lane, or none when @p cfg disables failures. */
+    static ChaosConfig
+    crashScenario(const FailureConfig &cfg)
+    {
+        ChaosConfig c;
+        if (cfg.mtbf > 0)
+            c.faults.push_back(
+                {FaultFamily::HostCrash, cfg.mtbf, cfg.outage_mean});
+        return c;
+    }
 
-    /** Pick a random connected, non-crashed host; invalid if none. */
-    HostId pickVictim();
-
-    HaManager &ha;
-    Inventory &inv;
-    Simulator &sim;
-    FailureConfig cfg;
-    Rng rng;
-    bool running = false;
-    std::uint64_t outage_count = 0;
-    std::uint64_t recovery_count = 0;
+    const FamilyStats &crashes() const
+    {
+        return familyStats(FaultFamily::HostCrash);
+    }
 };
 
 } // namespace vcp

@@ -1,11 +1,58 @@
 #include "workload/profiles.hh"
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "sim/logging.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/sampler.hh"
 #include "trace/tracer.hh"
 
 namespace vcp {
+
+namespace {
+
+/**
+ * Control-plane level probes (API, dispatch, DB queue and occupancy)
+ * of @p s under their telemetry names.  The gauge sampler and the
+ * registry register the same list, so each level is one series in
+ * the export, carrying the sampler's resolution when one runs.
+ */
+std::vector<std::pair<const char *, std::function<std::int64_t()>>>
+levelProbes(ManagementServer &s)
+{
+    return {
+        {"api.queue",
+         [&s] {
+             return static_cast<std::int64_t>(s.apiCenter().queueLength());
+         }},
+        {"api.busy",
+         [&s] {
+             return static_cast<std::int64_t>(s.apiCenter().busyServers());
+         }},
+        {"sched.queue",
+         [&s] {
+             return static_cast<std::int64_t>(s.scheduler().queueLength());
+         }},
+        {"sched.running",
+         [&s] {
+             return static_cast<std::int64_t>(s.scheduler().inFlight());
+         }},
+        {"db.queue",
+         [&s] {
+             return static_cast<std::int64_t>(
+                 s.database().center().queueLength());
+         }},
+        {"db.busy",
+         [&s] {
+             return static_cast<std::int64_t>(
+                 s.database().center().busyServers());
+         }},
+    };
+}
+
+} // namespace
 
 CloudSetupSpec
 cloudASpec()
@@ -190,26 +237,8 @@ CloudSimulation::enableTracing(SpanTracer *tracer)
 void
 CloudSimulation::addStandardGauges(GaugeSampler &sampler)
 {
-    sampler.addGauge("api.queue", [this] {
-        return static_cast<std::int64_t>(srv_.apiCenter().queueLength());
-    });
-    sampler.addGauge("api.busy", [this] {
-        return static_cast<std::int64_t>(srv_.apiCenter().busyServers());
-    });
-    sampler.addGauge("dispatch.queue", [this] {
-        return static_cast<std::int64_t>(srv_.scheduler().queueLength());
-    });
-    sampler.addGauge("dispatch.running", [this] {
-        return static_cast<std::int64_t>(srv_.scheduler().inFlight());
-    });
-    sampler.addGauge("db.queue", [this] {
-        return static_cast<std::int64_t>(
-            srv_.database().center().queueLength());
-    });
-    sampler.addGauge("db.busy", [this] {
-        return static_cast<std::int64_t>(
-            srv_.database().center().busyServers());
-    });
+    for (auto &[name, probe] : levelProbes(srv_))
+        sampler.addGauge(name, std::move(probe));
 }
 
 void
@@ -221,26 +250,8 @@ CloudSimulation::enableTelemetry(TelemetryRegistry *reg)
 
     // Queue-depth / occupancy gauges.  Sampled on the cold snapshot
     // (and sampler) path, so probes may walk aggregates.
-    reg->addGaugeProbe("api.queue", [this] {
-        return static_cast<std::int64_t>(srv_.apiCenter().queueLength());
-    });
-    reg->addGaugeProbe("api.busy", [this] {
-        return static_cast<std::int64_t>(srv_.apiCenter().busyServers());
-    });
-    reg->addGaugeProbe("sched.queue", [this] {
-        return static_cast<std::int64_t>(srv_.scheduler().queueLength());
-    });
-    reg->addGaugeProbe("sched.running", [this] {
-        return static_cast<std::int64_t>(srv_.scheduler().inFlight());
-    });
-    reg->addGaugeProbe("db.queue", [this] {
-        return static_cast<std::int64_t>(
-            srv_.database().center().queueLength());
-    });
-    reg->addGaugeProbe("db.busy", [this] {
-        return static_cast<std::int64_t>(
-            srv_.database().center().busyServers());
-    });
+    for (auto &[name, probe] : levelProbes(srv_))
+        reg->addGaugeProbe(name, std::move(probe));
     reg->addGaugeProbe("agents.busy", [this] {
         return static_cast<std::int64_t>(srv_.agentSlotsBusy());
     });

@@ -157,7 +157,8 @@ class CloudSimulation
     /**
      * Register the standard control-plane load gauges (API queue and
      * busy threads, dispatch queue and running tasks, DB queue and
-     * busy connections) on a caller-owned sampler.
+     * busy connections) on a caller-owned sampler, under the same
+     * names (api.*, sched.*, db.*) enableTelemetry() registers them.
      */
     void addStandardGauges(GaugeSampler &sampler);
 

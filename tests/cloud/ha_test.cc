@@ -6,11 +6,25 @@
 
 #include "cloud_fixture.hh"
 
+#include <cstdint>
+#include <string>
+
 #include "cloud/ha_manager.hh"
 #include "workload/failures.hh"
 
 namespace vcp {
 namespace {
+
+/** FNV-1a 64 over @p s, continuing from @p h. */
+std::uint64_t
+fnv1a(const std::string &s, std::uint64_t h = 1469598103934665603ULL)
+{
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
 
 class HaTest : public CloudFixture
 {
@@ -215,6 +229,39 @@ TEST_F(HaTest, SecondCrashDuringRestartDoesNotDoubleCount)
     EXPECT_EQ(ha.vmsRestarted(), 1u);
     EXPECT_EQ(inv().vm(vm).powerState(), PowerState::PoweredOn);
     EXPECT_EQ(inv().host(victim).committedVcpus(), 1);
+}
+
+/**
+ * Pins the injector's RNG call order on a full workload run: the
+ * gap, victim and outage draws all come from the stream handed in
+ * (here the same root fork vcpsim gives --mtbf), so a refactor that
+ * reorders, adds or forks a draw moves every count and the digest.
+ * The expected values are a golden record, not derived quantities.
+ */
+TEST_F(HaTest, FailureInjectorRngOrderIsPinned)
+{
+    CloudSetupSpec spec = makeSpec();
+    spec.workload.duration = hours(6);
+    spec.workload.arrival.rate_per_hour = 60.0;
+    build(spec);
+    HaManager ha(srv());
+    FailureConfig fcfg;
+    fcfg.mtbf = minutes(40);
+    fcfg.outage_mean = minutes(10);
+    FailureInjector inj(ha, fcfg, sim().rng().fork());
+    inj.start();
+    cs->run();
+    inj.stop();
+
+    EXPECT_EQ(inj.outages(), 6u);
+    EXPECT_EQ(inj.recoveries(), 6u);
+    EXPECT_EQ(ha.crashes(), 6u);
+    EXPECT_EQ(ha.vmsCrashed(), 56u);
+    EXPECT_EQ(ha.vmsRestarted(), 51u);
+    EXPECT_EQ(ha.restartFailures(), 0u);
+    std::uint64_t digest = fnv1a(cs->stats().toCsv());
+    digest = fnv1a(cs->driver().ops().toCsv(), digest);
+    EXPECT_EQ(digest, 0x39d1aa43b69276a0ULL);
 }
 
 TEST_F(HaTest, InjectorDisabledWithZeroMtbf)

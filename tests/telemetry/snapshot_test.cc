@@ -246,5 +246,19 @@ TEST(HealthReport, DataPlaneDominantIsNotControlLimited)
     EXPECT_FALSE(hr.control_plane_limited);
 }
 
+TEST(HealthReport, DatastoreSlotsDominantIsControlLimited)
+{
+    // util.datastores is the per-datastore admission slots (the
+    // bottleneck analysis's control-plane "datastore-slots"), not
+    // the data-plane copy pipes.
+    TelemetryRegistry reg;
+    reg.addUtilProbe("util.datastores", [] { return 0.95; });
+    reg.addUtilProbe("util.fabric", [] { return 0.5; });
+    reg.addUtilProbe("util.api", [] { return 0.1; });
+    HealthReport hr = buildHealthReport(reg, 0, {}, {});
+    EXPECT_EQ(hr.dominant, "util.datastores");
+    EXPECT_TRUE(hr.control_plane_limited);
+}
+
 } // namespace
 } // namespace vcp

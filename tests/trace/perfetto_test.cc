@@ -277,6 +277,18 @@ TEST(PerfettoExport, LongNamesAreEscapedInFull)
     EXPECT_NE(json.find("\"error\":\"bad \\\"quote\\\"\""),
               std::string::npos);
     EXPECT_EQ(countOccurrences(json, "{"), countOccurrences(json, "}"));
+
+    // Control characters take the shared escaper's short forms where
+    // JSON has one and \u00XX otherwise; none reaches the file raw.
+    SpanTracer c;
+    c.setAxes({"power-on"}, {"api"}, {"none"});
+    std::uint16_t ctl = c.intern("tab\tcr\rnl\nbell\x07");
+    c.recordCounter(ctl, 30, 4);
+    std::string cjson = exportPerfettoJson(c);
+    EXPECT_NE(cjson.find("\"tab\\tcr\\rnl\\nbell\\u0007\""),
+              std::string::npos);
+    EXPECT_EQ(cjson.find('\r'), std::string::npos);
+    EXPECT_EQ(cjson.find('\x07'), std::string::npos);
 }
 
 TEST(PerfettoExport, FullDiskReportsFailure)
