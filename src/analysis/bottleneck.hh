@@ -3,6 +3,14 @@
  * Bottleneck attribution: gathers the mean utilization of every
  * bounded control-plane and data-plane resource so a run can answer
  * the paper's central question — *which* plane limits provisioning.
+ *
+ * The readings come from ManagementServer's per-resource
+ * utilization readers, the same ones the telemetry util probes call,
+ * and reading them creates no agent or slot center.  The verdict —
+ * bottleneckResource() and controlPlaneLimited() — is the one
+ * dominantResource() rule of telemetry/telemetry.hh that the health
+ * report and the snapshot emitter also use: highest utilization,
+ * ties to the entry listed first, "none" when nothing is above 0.
  */
 
 #ifndef VCP_ANALYSIS_BOTTLENECK_HH
@@ -13,38 +21,21 @@
 
 #include "controlplane/management_server.hh"
 #include "stats/table.hh"
+#include "telemetry/telemetry.hh"
 
 namespace vcp {
 
-/** One resource's observed utilization. */
-struct ResourceUtilization
-{
-    std::string name;
-
-    /** Control plane vs data plane, for the headline attribution. */
-    bool control_plane = true;
-
-    /** Mean utilization over the run, in [0, 1]. */
-    double utilization = 0.0;
-};
-
 /**
  * Collect utilizations: API threads, dispatch slots, DB connections,
- * host agents (mean and max across hosts), datastore copy pipes
- * (mean and max), and the network fabric.
+ * host agents and datastore admission slots (mean and max across the
+ * inventory), datastore copy pipes (mean and max), and the network
+ * fabric's busiest link.
  */
 std::vector<ResourceUtilization>
 collectUtilizations(ManagementServer &srv);
 
 /** Render the utilizations as a table, most-loaded first. */
 Table utilizationTable(const std::vector<ResourceUtilization> &u);
-
-/** Name of the most-utilized resource ("none" when all idle). */
-std::string bottleneckResource(
-    const std::vector<ResourceUtilization> &u);
-
-/** True when the most-utilized resource is a control-plane one. */
-bool controlPlaneLimited(const std::vector<ResourceUtilization> &u);
 
 class SpanTracer;
 

@@ -450,32 +450,75 @@ ManagementServer::agentQueueLength() const
     return n;
 }
 
-double
-ManagementServer::agentMeanUtilization() const
+namespace {
+
+/** Mean and max of @p util over @p ids (all-zero when empty). */
+template <typename Ids, typename Fn>
+ManagementServer::UtilSpread
+spreadOver(const Ids &ids, Fn util)
 {
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (const auto &a : agents) {
-        if (a) {
-            sum += a->center().utilization();
-            ++n;
-        }
+    ManagementServer::UtilSpread s;
+    for (auto id : ids) {
+        double u = util(id);
+        s.mean += u;
+        s.max = std::max(s.max, u);
     }
-    return n ? sum / static_cast<double>(n) : 0.0;
+    if (!ids.empty())
+        s.mean /= static_cast<double>(ids.size());
+    return s;
+}
+
+/** Fraction of the run so far a resource was busy. */
+double
+busyFraction(SimDuration busy, SimTime elapsed)
+{
+    return elapsed > 0
+        ? static_cast<double>(busy) / static_cast<double>(elapsed)
+        : 0.0;
+}
+
+} // namespace
+
+double
+ManagementServer::agentUtilization(HostId h) const
+{
+    if (!h.hasSlot())
+        h = inv.host(h).id();
+    return h.slot < agents.size() && agents[h.slot]
+        ? agents[h.slot]->center().utilization()
+        : 0.0;
+}
+
+ManagementServer::UtilSpread
+ManagementServer::agentUtilization() const
+{
+    return spreadOver(inv.hostIds(),
+                      [this](HostId h) { return agentUtilization(h); });
+}
+
+ManagementServer::UtilSpread
+ManagementServer::datastoreSlotUtilization() const
+{
+    return spreadOver(inv.datastoreIds(), [this](DatastoreId d) {
+        return d.slot < ds_slots.size() && ds_slots[d.slot]
+            ? ds_slots[d.slot]->utilization()
+            : 0.0;
+    });
+}
+
+ManagementServer::UtilSpread
+ManagementServer::datastorePipeUtilization() const
+{
+    return spreadOver(inv.datastoreIds(), [this](DatastoreId d) {
+        return busyFraction(inv.datastore(d).copyPipe().busyTime(),
+                            sim.now());
+    });
 }
 
 double
-ManagementServer::datastoreMeanUtilization() const
+ManagementServer::fabricUtilization() const
 {
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (const auto &d : ds_slots) {
-        if (d) {
-            sum += d->utilization();
-            ++n;
-        }
-    }
-    return n ? sum / static_cast<double>(n) : 0.0;
+    return busyFraction(net.topology().maxLinkBusyTime(), sim.now());
 }
 
 void

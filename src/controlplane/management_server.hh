@@ -232,14 +232,36 @@ class ManagementServer
     TelemetryRegistry *telemetry() const { return telem_; }
 
     /**
-     * @{ Aggregates over the per-host agents and per-datastore slot
-     * centers — the telemetry gauge probes poll these so the export
-     * stays O(instruments) instead of O(hosts).
+     * @{ Aggregates over the per-host agents — the telemetry gauge
+     * probes poll these so the export stays O(instruments) instead
+     * of O(hosts).
      */
     int agentSlotsBusy() const;
     std::size_t agentQueueLength() const;
-    double agentMeanUtilization() const;
-    double datastoreMeanUtilization() const;
+    /** @} */
+
+    /** Mean and busiest utilization across a set of entities. */
+    struct UtilSpread
+    {
+        double mean = 0.0;
+        double max = 0.0;
+    };
+
+    /**
+     * @{ Utilization of each bounded per-entity and fabric resource,
+     * each formula written once: the telemetry util probes and
+     * analysis/bottleneck both read these.  Reading creates nothing —
+     * a host or datastore whose agent or slot center was never used
+     * counts as 0 — and the spreads cover every inventory host or
+     * datastore, so the means do not move when a center is created.
+     */
+    double agentUtilization(HostId h) const;
+    UtilSpread agentUtilization() const;
+    UtilSpread datastoreSlotUtilization() const;
+    /** Copy pipes: busy time over elapsed time (data plane). */
+    UtilSpread datastorePipeUtilization() const;
+    /** The busiest fabric link's busy fraction (data plane). */
+    double fabricUtilization() const;
     /** @} */
 
   private:

@@ -50,25 +50,6 @@ Histogram::add(double x, std::uint64_t weight)
         summary.add(x);
 }
 
-void
-Histogram::merge(const Histogram &other)
-{
-    if (other.counts.size() != counts.size() ||
-        other.min_value != min_value || other.growth != growth) {
-        panic("Histogram::merge: incompatible bucketing");
-    }
-    for (std::size_t i = 0; i < counts.size(); ++i)
-        counts[i] += other.counts[i];
-    summary.merge(other.summary);
-}
-
-void
-Histogram::reset()
-{
-    std::fill(counts.begin(), counts.end(), 0);
-    summary.reset();
-}
-
 double
 Histogram::bucketLowerEdge(std::size_t i) const
 {

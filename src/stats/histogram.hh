@@ -38,12 +38,6 @@ class Histogram
     /** Record @p weight occurrences of @p x. */
     void add(double x, std::uint64_t weight);
 
-    /** Merge a histogram with identical bucketing. */
-    void merge(const Histogram &other);
-
-    /** Discard all samples. */
-    void reset();
-
     std::uint64_t count() const { return summary.count(); }
     double mean() const { return summary.mean(); }
     double stddev() const { return summary.stddev(); }
@@ -58,7 +52,6 @@ class Histogram
 
     /** Convenience percentiles. */
     double p50() const { return quantile(0.50); }
-    double p90() const { return quantile(0.90); }
     double p95() const { return quantile(0.95); }
     double p99() const { return quantile(0.99); }
 

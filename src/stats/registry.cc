@@ -11,12 +11,6 @@ StatRegistry::counter(const std::string &name)
     return counters[name];
 }
 
-Gauge &
-StatRegistry::gauge(const std::string &name)
-{
-    return gauges[name];
-}
-
 Histogram &
 StatRegistry::histogram(const std::string &name, double min_value,
                         double growth)
@@ -37,13 +31,6 @@ StatRegistry::summary(const std::string &name)
     return summaries[name];
 }
 
-bool
-StatRegistry::has(const std::string &name) const
-{
-    return counters.count(name) || gauges.count(name) ||
-           histograms.count(name) || summaries.count(name);
-}
-
 template <typename Map>
 std::vector<std::string>
 StatRegistry::sortedKeys(const Map &map)
@@ -56,37 +43,6 @@ StatRegistry::sortedKeys(const Map &map)
     return out;
 }
 
-std::vector<std::string>
-StatRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(counters.size() + gauges.size() + histograms.size() +
-                summaries.size());
-    for (const auto &kv : counters)
-        out.push_back(kv.first);
-    for (const auto &kv : gauges)
-        out.push_back(kv.first);
-    for (const auto &kv : histograms)
-        out.push_back(kv.first);
-    for (const auto &kv : summaries)
-        out.push_back(kv.first);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-void
-StatRegistry::resetAll()
-{
-    for (auto &kv : counters)
-        kv.second.reset();
-    for (auto &kv : gauges)
-        kv.second.reset();
-    for (auto &kv : histograms)
-        kv.second->reset();
-    for (auto &kv : summaries)
-        kv.second.reset();
-}
-
 std::string
 StatRegistry::toCsv() const
 {
@@ -97,11 +53,6 @@ StatRegistry::toCsv() const
                       name.c_str(),
                       static_cast<unsigned long long>(
                           counters.at(name).value()));
-        out += line;
-    }
-    for (const auto &name : sortedKeys(gauges)) {
-        std::snprintf(line, sizeof(line), "%s,gauge,value,%.6g\n",
-                      name.c_str(), gauges.at(name).value());
         out += line;
     }
     for (const auto &name : sortedKeys(histograms)) {
@@ -134,35 +85,6 @@ StatRegistry::toCsv() const
                           name.c_str(), f.f, f.v);
             out += line;
         }
-    }
-    return out;
-}
-
-std::string
-StatRegistry::toString() const
-{
-    std::string out;
-    char line[320];
-    for (const auto &name : sortedKeys(counters)) {
-        std::snprintf(line, sizeof(line), "%-48s %llu\n", name.c_str(),
-                      static_cast<unsigned long long>(
-                          counters.at(name).value()));
-        out += line;
-    }
-    for (const auto &name : sortedKeys(gauges)) {
-        std::snprintf(line, sizeof(line), "%-48s %.6g\n", name.c_str(),
-                      gauges.at(name).value());
-        out += line;
-    }
-    for (const auto &name : sortedKeys(histograms)) {
-        std::snprintf(line, sizeof(line), "%-48s %s\n", name.c_str(),
-                      histograms.at(name)->toString().c_str());
-        out += line;
-    }
-    for (const auto &name : sortedKeys(summaries)) {
-        std::snprintf(line, sizeof(line), "%-48s %s\n", name.c_str(),
-                      summaries.at(name).toString().c_str());
-        out += line;
     }
     return out;
 }

@@ -2,10 +2,10 @@
  * @file
  * Named statistics registry.
  *
- * Components register counters, gauges, and histograms under
+ * Components register counters, histograms, and summaries under
  * hierarchical dotted names ("controlplane.db.write_latency_ms").
  * The registry owns the storage; callers keep cheap handles.  A dump
- * renders everything to CSV or a human-readable listing.
+ * renders everything to CSV.
  */
 
 #ifndef VCP_STATS_REGISTRY_HH
@@ -28,23 +28,9 @@ class Counter
   public:
     void inc(std::uint64_t by = 1) { val += by; }
     std::uint64_t value() const { return val; }
-    void reset() { val = 0; }
 
   private:
     std::uint64_t val = 0;
-};
-
-/** Instantaneous level (queue depth, in-flight ops, ...). */
-class Gauge
-{
-  public:
-    void set(double v) { val = v; }
-    void add(double delta) { val += delta; }
-    double value() const { return val; }
-    void reset() { val = 0.0; }
-
-  private:
-    double val = 0.0;
 };
 
 /**
@@ -67,9 +53,6 @@ class StatRegistry
 
     /** Get or create the counter with the given dotted name. */
     Counter &counter(const std::string &name);
-
-    /** Get or create the gauge with the given dotted name. */
-    Gauge &gauge(const std::string &name);
 
     /**
      * Get or create a histogram.  Creation parameters are only used
@@ -96,14 +79,6 @@ class StatRegistry
         return *slot;
     }
 
-    Gauge &
-    gauge(Gauge *&slot, const std::string &name)
-    {
-        if (!slot)
-            slot = &gauge(name);
-        return *slot;
-    }
-
     Histogram &
     histogram(Histogram *&slot, const std::string &name,
               double min_value = 1.0, double growth = 1.15)
@@ -122,23 +97,11 @@ class StatRegistry
     }
     /** @} */
 
-    /** True if any stat with this exact name exists. */
-    bool has(const std::string &name) const;
-
-    /** All registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /** Reset every stat to its empty state. */
-    void resetAll();
-
     /**
      * Render all stats as CSV lines "name,kind,field,value".
      * Histograms expand into count/mean/p50/p95/p99/max rows.
      */
     std::string toCsv() const;
-
-    /** Render a human-readable listing, one stat per line. */
-    std::string toString() const;
 
   private:
     /** Sorted keys of @p map (dump-time determinism). */
@@ -146,7 +109,6 @@ class StatRegistry
     static std::vector<std::string> sortedKeys(const Map &map);
 
     std::unordered_map<std::string, Counter> counters;
-    std::unordered_map<std::string, Gauge> gauges;
     std::unordered_map<std::string, std::unique_ptr<Histogram>>
         histograms;
     std::unordered_map<std::string, SummaryStats> summaries;

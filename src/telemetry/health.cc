@@ -10,23 +10,6 @@ namespace vcp {
 using telemetry::jsonEscape;
 using telemetry::jsonNum;
 
-namespace {
-
-/**
- * Util-probe names for data-plane resources; everything else
- * (api threads, dispatch slots, db pool, host agents, per-datastore
- * admission slots) is the management control plane the paper
- * interrogates.  "util.datastores" reads the admission slots, not
- * the copy pipes, so it is control plane, as in analysis/bottleneck.
- */
-bool
-isDataPlane(const std::string &name)
-{
-    return name == "util.fabric";
-}
-
-} // namespace
-
 HealthReport
 buildHealthReport(TelemetryRegistry &reg, SimTime now,
                   std::vector<std::string> recent_windows,
@@ -35,18 +18,17 @@ buildHealthReport(TelemetryRegistry &reg, SimTime now,
 {
     HealthReport hr;
     hr.now_us = now;
-    for (const auto &p : reg.utilProbes())
-        hr.subsystems.emplace_back(p.name, p.fn());
+    hr.subsystems = reg.readUtils();
+    hr.dominant = bottleneckResource(hr.subsystems);
+    hr.control_plane_limited = controlPlaneLimited(hr.subsystems);
+    // Display order only; the verdict above reads registration order.
     std::sort(hr.subsystems.begin(), hr.subsystems.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.second != b.second)
-                      return a.second > b.second;
-                  return a.first < b.first;
+              [](const ResourceUtilization &a,
+                 const ResourceUtilization &b) {
+                  if (a.utilization != b.utilization)
+                      return a.utilization > b.utilization;
+                  return a.name < b.name;
               });
-    if (!hr.subsystems.empty()) {
-        hr.dominant = hr.subsystems.front().first;
-        hr.control_plane_limited = !isDataPlane(hr.dominant);
-    }
     hr.recent_windows = std::move(recent_windows);
     hr.window_wins = std::move(window_wins);
     std::sort(hr.window_wins.begin(), hr.window_wins.end(),
@@ -80,20 +62,20 @@ healthText(const HealthReport &hr)
     std::string out = "run health report\n";
 
     Table subs({"subsystem", "utilization", "windows won"});
-    for (const auto &[name, util] : hr.subsystems) {
+    for (const ResourceUtilization &r : hr.subsystems) {
         std::uint64_t wins = 0;
         for (const auto &[wname, wcount] : hr.window_wins)
-            if (wname == name)
+            if (wname == r.name)
                 wins = wcount;
-        subs.row().cell(name).cell(util).cell(wins);
+        subs.row().cell(r.name).cell(r.utilization).cell(wins);
     }
     out += subs.toText();
 
-    out += "dominant bottleneck: "
-        + (hr.dominant.empty() ? std::string("(none)") : hr.dominant)
-        + (hr.control_plane_limited ? " (control plane)"
-                                    : " (data plane)")
-        + "\n";
+    out += "dominant bottleneck: " + hr.dominant;
+    if (hr.dominant != "none")
+        out += hr.control_plane_limited ? " (control plane)"
+                                        : " (data plane)";
+    out += "\n";
 
     if (!hr.recent_windows.empty()) {
         out += "recent windows:";
@@ -124,11 +106,11 @@ healthJson(const HealthReport &hr)
 
     j += ",\"subsystems\":{";
     bool first = true;
-    for (const auto &[name, util] : hr.subsystems) {
+    for (const ResourceUtilization &r : hr.subsystems) {
         if (!first)
             j += ",";
         first = false;
-        j += "\"" + jsonEscape(name) + "\":" + jsonNum(util);
+        j += "\"" + jsonEscape(r.name) + "\":" + jsonNum(r.utilization);
     }
     j += "}";
 

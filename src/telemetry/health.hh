@@ -7,9 +7,14 @@
  * plane saturated first* — computed purely from the streaming
  * telemetry (util probes plus the emitter's per-window dominant
  * history), so it costs nothing beyond what the run already
- * collected.  It renders two ways: an aligned-text table for the
- * terminal, and a `{"type":"health"}` ND-JSON line appended to the
- * metrics stream so downstream tooling sees one self-contained file.
+ * collected.  The verdict is the one dominantResource() rule of
+ * telemetry.hh, also used by analysis/bottleneck and the emitter:
+ * highest utilization, ties to the probe registered first, "none"
+ * when every probe reads 0; the plane is the one the probe was
+ * registered with.  It renders two ways: an aligned-text table for
+ * the terminal, and a `{"type":"health"}` ND-JSON line appended to
+ * the metrics stream so downstream tooling sees one self-contained
+ * file.
  */
 
 #ifndef VCP_TELEMETRY_HEALTH_HH
@@ -36,9 +41,9 @@ struct CongestedEntity
 struct HealthReport
 {
     std::int64_t now_us = 0;
-    /** Subsystem utilizations, sorted descending. */
-    std::vector<std::pair<std::string, double>> subsystems;
-    /** Highest-utilization subsystem overall. */
+    /** Subsystem utilizations, sorted descending (ties by name). */
+    std::vector<ResourceUtilization> subsystems;
+    /** Dominant subsystem overall ("none" when all idle). */
     std::string dominant;
     /** True when the dominant subsystem is a control-plane resource. */
     bool control_plane_limited = false;

@@ -66,8 +66,9 @@ void
 SnapshotEmitter::emitNow()
 {
     reg.sampleGauges(sim.now());
-    noteDominant();
-    emitLine(snapshotLine());
+    std::vector<ResourceUtilization> utils = reg.readUtils();
+    noteDominant(bottleneckResource(utils));
+    emitLine(snapshotLine(utils));
     writeProm();
     last_emit = sim.now();
     ++seq;
@@ -106,31 +107,19 @@ SnapshotEmitter::emitLine(const std::string &line)
 }
 
 void
-SnapshotEmitter::noteDominant()
+SnapshotEmitter::noteDominant(const std::string &dominant)
 {
-    const auto &utils = reg.utilProbes();
-    if (utils.empty())
-        return;
-    std::string best;
-    double best_v = -1.0;
-    for (const auto &p : utils) {
-        double v = p.fn();
-        if (v > best_v || (v == best_v && p.name < best)) {
-            best_v = v;
-            best = p.name;
-        }
-    }
     bool found = false;
     for (auto &[name, count] : wins) {
-        if (name == best) {
+        if (name == dominant) {
             ++count;
             found = true;
             break;
         }
     }
     if (!found)
-        wins.emplace_back(best, 1);
-    recent[recent_n % kRecentWindows] = best;
+        wins.emplace_back(dominant, 1);
+    recent[recent_n % kRecentWindows] = dominant;
     ++recent_n;
 }
 
@@ -146,7 +135,7 @@ SnapshotEmitter::recentDominants() const
 }
 
 std::string
-SnapshotEmitter::snapshotLine()
+SnapshotEmitter::snapshotLine(const std::vector<ResourceUtilization> &utils)
 {
     SimTime now = sim.now();
     double dt_s = toSeconds(now - last_emit);
@@ -206,11 +195,11 @@ SnapshotEmitter::snapshotLine()
     // Utilizations: instantaneous whole-run busy fractions.
     j += ",\"utils\":{";
     first = true;
-    for (const auto &p : reg.utilProbes()) {
+    for (const ResourceUtilization &u : utils) {
         if (!first)
             j += ",";
         first = false;
-        j += "\"" + jsonEscape(p.name) + "\":" + jsonNum(p.fn());
+        j += "\"" + jsonEscape(u.name) + "\":" + jsonNum(u.utilization);
     }
     j += "}";
 
@@ -288,10 +277,10 @@ SnapshotEmitter::writeProm()
            << "# TYPE " << pn << "_ewma gauge\n"
            << pn << "_ewma " << jsonNum(g->ewma()) << "\n";
     }
-    for (const auto &p : reg.utilProbes()) {
-        std::string pn = "vcp_" + promName(p.name);
+    for (const ResourceUtilization &u : reg.readUtils()) {
+        std::string pn = "vcp_" + promName(u.name);
         pf << "# TYPE " << pn << " gauge\n"
-           << pn << " " << jsonNum(p.fn()) << "\n";
+           << pn << " " << jsonNum(u.utilization) << "\n";
     }
     for (const auto &name : reg.histogramNames()) {
         const LatencyHistogram &h = *reg.findHistogram(name);

@@ -17,8 +17,10 @@
  * determinism tests rely on this.
  *
  * The emitter also keeps the per-window dominant-bottleneck history
- * (bounded: a win counter per util probe plus a fixed-size recent
- * ring) that feeds the end-of-run health report.
+ * (bounded: a win counter per util probe, plus "none" for idle
+ * windows, and a fixed-size recent ring) that feeds the end-of-run
+ * health report.  Each window's dominant is bottleneckResource() of
+ * the same readings the snapshot line exports.
  */
 
 #ifndef VCP_TELEMETRY_SNAPSHOT_HH
@@ -97,8 +99,9 @@ class SnapshotEmitter
   private:
     void tick();
     void emitLine(const std::string &line);
-    std::string snapshotLine();
-    void noteDominant();
+    std::string snapshotLine(const std::vector<ResourceUtilization> &utils);
+    /** Credit one window to @p dominant ("none" when idle). */
+    void noteDominant(const std::string &dominant);
     void writeProm();
     /** Remember @p path as the first failed write. */
     void noteFailure(const std::string &path);
@@ -116,7 +119,8 @@ class SnapshotEmitter
     std::string prom_path;
     std::string failed_path;
 
-    /** One (name, count) per util probe — bounded by instrument count. */
+    /** One (name, count) per util probe and "none" — bounded by
+     *  instrument count. */
     std::vector<std::pair<std::string, std::uint64_t>> wins;
     /** Fixed-size ring of recent window dominants. */
     std::string recent[kRecentWindows];

@@ -44,6 +44,28 @@ namesOf(const Named<T> &v)
 
 } // namespace
 
+ResourceUtilization
+dominantResource(const std::vector<ResourceUtilization> &u)
+{
+    const ResourceUtilization *best = nullptr;
+    for (const auto &r : u)
+        if (r.utilization > (best ? best->utilization : 0.0))
+            best = &r;
+    return best ? *best : ResourceUtilization{"none", false, 0.0};
+}
+
+std::string
+bottleneckResource(const std::vector<ResourceUtilization> &u)
+{
+    return dominantResource(u).name;
+}
+
+bool
+controlPlaneLimited(const std::vector<ResourceUtilization> &u)
+{
+    return dominantResource(u).control_plane;
+}
+
 TelemetryRegistry::TelemetryRegistry(SimDuration window)
     : window_(std::max<SimDuration>(window, WindowedCounter::kSlots))
 {}
@@ -70,14 +92,15 @@ void
 TelemetryRegistry::addGaugeProbe(const std::string &name,
                                  std::function<std::int64_t()> fn)
 {
-    gprobes_.push_back({name, std::move(fn), gauge(name)});
+    gprobes_.push_back({std::move(fn), gauge(name)});
 }
 
 void
 TelemetryRegistry::addUtilProbe(const std::string &name,
+                                bool control_plane,
                                 std::function<double()> fn)
 {
-    utils_.push_back({name, std::move(fn)});
+    utils_.push_back({name, control_plane, std::move(fn)});
 }
 
 void
@@ -93,6 +116,16 @@ TelemetryRegistry::sampleGauges(SimTime now)
 {
     for (auto &p : gprobes_)
         p.sink->sample(now, static_cast<double>(p.fn()));
+}
+
+std::vector<ResourceUtilization>
+TelemetryRegistry::readUtils() const
+{
+    std::vector<ResourceUtilization> out;
+    out.reserve(utils_.size());
+    for (const auto &p : utils_)
+        out.push_back({p.name, p.control_plane, p.fn()});
+    return out;
 }
 
 std::vector<std::string>

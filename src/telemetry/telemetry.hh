@@ -11,6 +11,14 @@
  * every instrument is one of the fixed-footprint primitives in
  * instruments.hh.
  *
+ * Util probes carry the plane of the resource they read, so the
+ * registry's readUtils() is the input of every bottleneck verdict
+ * built on telemetry.  ResourceUtilization and the one rule that
+ * picks the dominant resource (dominantResource()) live here, below
+ * both the analysis and the health report, so the end-of-run
+ * analysis, the health report and the emitter's per-window history
+ * name the same resource for the same readings.
+ *
  * One registry serves one single-threaded model: each name maps to
  * exactly one instrument.  Merge-mode sharded execution is
  * byte-identical to serial, so a run emits the same series and values
@@ -38,6 +46,34 @@
 #define VCP_TELEM_ON(p) ((p) != nullptr)
 
 namespace vcp {
+
+/** One bounded resource's utilization, with the plane it belongs to. */
+struct ResourceUtilization
+{
+    std::string name;
+
+    /** Control plane vs data plane, for the headline attribution. */
+    bool control_plane = true;
+
+    /** Mean utilization over the run, in [0, 1]. */
+    double utilization = 0.0;
+};
+
+/**
+ * The one dominant-resource rule every bottleneck verdict uses: the
+ * entry with the highest utilization, ties to the one listed first.
+ * When nothing is above 0 (the run, or window, was idle) there is no
+ * dominant: the result is {"none", data plane, 0}.
+ */
+ResourceUtilization
+dominantResource(const std::vector<ResourceUtilization> &u);
+
+/** Name of the dominant resource ("none" when all idle). */
+std::string bottleneckResource(
+    const std::vector<ResourceUtilization> &u);
+
+/** True when there is a dominant resource and it is control plane. */
+bool controlPlaneLimited(const std::vector<ResourceUtilization> &u);
 
 /** Named instrument store plus polled probes. */
 class TelemetryRegistry
@@ -74,9 +110,10 @@ class TelemetryRegistry
 
     /**
      * Register a utilization probe (0..1-ish double, read at
-     * snapshot time; not windowed).
+     * snapshot time; not windowed) of a @p control_plane or
+     * data-plane resource.
      */
-    void addUtilProbe(const std::string &name,
+    void addUtilProbe(const std::string &name, bool control_plane,
                       std::function<double()> fn);
 
     /**
@@ -92,6 +129,9 @@ class TelemetryRegistry
     /** Poll every gauge probe into its DecayingGauge at @p now. */
     void sampleGauges(SimTime now);
 
+    /** Read every util probe once, in registration order. */
+    std::vector<ResourceUtilization> readUtils() const;
+
     // --- enumeration (snapshot emitter / tests) -------------------
 
     std::vector<std::string> counterNames() const;
@@ -103,12 +143,6 @@ class TelemetryRegistry
     const LatencyHistogram *findHistogram(const std::string &name) const;
     const DecayingGauge *findGauge(const std::string &name) const;
 
-    struct UtilProbe
-    {
-        std::string name;
-        std::function<double()> fn;
-    };
-
     struct CounterProbe
     {
         std::string name;
@@ -118,16 +152,7 @@ class TelemetryRegistry
         std::uint64_t prev = 0;
     };
 
-    struct GaugeProbe
-    {
-        std::string name;
-        std::function<std::int64_t()> fn;
-        DecayingGauge *sink = nullptr;
-    };
-
-    const std::vector<UtilProbe> &utilProbes() const { return utils_; }
     std::vector<CounterProbe> &counterProbes() { return cprobes_; }
-    const std::vector<GaugeProbe> &gaugeProbes() const { return gprobes_; }
 
     // --- footprint (O(1)-memory acceptance test) ------------------
 
@@ -144,6 +169,19 @@ class TelemetryRegistry
     SimDuration window() const { return window_; }
 
   private:
+    struct UtilProbe
+    {
+        std::string name;
+        bool control_plane = true;
+        std::function<double()> fn;
+    };
+
+    struct GaugeProbe
+    {
+        std::function<std::int64_t()> fn;
+        DecayingGauge *sink = nullptr;
+    };
+
     /** Instruments in registration order; stable addresses. */
     template <typename T>
     using Named = std::vector<std::pair<std::string, std::unique_ptr<T>>>;

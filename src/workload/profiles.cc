@@ -266,25 +266,23 @@ CloudSimulation::enableTelemetry(TelemetryRegistry *reg)
             net_.topology().activeTransfers());
     });
 
-    // Per-subsystem utilizations — the health report's input.
-    reg->addUtilProbe("util.api",
+    // Per-subsystem utilizations — the health report's input.  The
+    // same readers analysis/bottleneck's collectUtilizations() uses,
+    // so the end-of-run analysis and every window agree.
+    reg->addUtilProbe("util.api", true,
                       [this] { return srv_.apiCenter().utilization(); });
-    reg->addUtilProbe("util.dispatch",
+    reg->addUtilProbe("util.dispatch", true,
                       [this] { return srv_.scheduler().utilization(); });
-    reg->addUtilProbe("util.db", [this] {
+    reg->addUtilProbe("util.db", true, [this] {
         return srv_.database().center().utilization();
     });
-    reg->addUtilProbe("util.agents",
-                      [this] { return srv_.agentMeanUtilization(); });
-    reg->addUtilProbe("util.datastores",
-                      [this] { return srv_.datastoreMeanUtilization(); });
-    reg->addUtilProbe("util.fabric", [this] {
-        double elapsed = static_cast<double>(sim().now());
-        return elapsed > 0.0
-            ? static_cast<double>(
-                  net_.topology().maxLinkBusyTime()) / elapsed
-            : 0.0;
+    reg->addUtilProbe("util.agents", true,
+                      [this] { return srv_.agentUtilization().mean; });
+    reg->addUtilProbe("util.datastores", true, [this] {
+        return srv_.datastoreSlotUtilization().mean;
     });
+    reg->addUtilProbe("util.fabric", false,
+                      [this] { return srv_.fabricUtilization(); });
 
     // Monotone counters maintained elsewhere; the emitter differences
     // consecutive readings into windowed rates.

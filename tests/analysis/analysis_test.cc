@@ -132,6 +132,10 @@ TEST(BottleneckTest, IdentifiesBusiestResource)
     u[0].utilization = 0.95;
     EXPECT_EQ(bottleneckResource(u), "db-connections");
     EXPECT_TRUE(controlPlaneLimited(u));
+    // A tie goes to the entry listed first.
+    u[1].utilization = 0.95;
+    EXPECT_EQ(bottleneckResource(u), "db-connections");
+    EXPECT_TRUE(controlPlaneLimited(u));
 }
 
 TEST(BottleneckTest, AllIdleReportsNone)
@@ -141,6 +145,8 @@ TEST(BottleneckTest, AllIdleReportsNone)
         {"b", false, 0.0},
     };
     EXPECT_EQ(bottleneckResource(u), "none");
+    EXPECT_FALSE(controlPlaneLimited(u));
+    EXPECT_EQ(dominantResource(u).utilization, 0.0);
 }
 
 TEST(BottleneckTest, TableSortedByUtilization)

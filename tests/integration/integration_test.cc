@@ -12,6 +12,7 @@
 #include "analysis/bottleneck.hh"
 #include "analysis/queueing.hh"
 #include "cloud/ha_manager.hh"
+#include "telemetry/telemetry.hh"
 #include "workload/failures.hh"
 #include "workload/profiles.hh"
 
@@ -127,6 +128,41 @@ TEST(IntegrationTest, FullClonesAreDataPlaneLimitedUnderStorm)
             pipe_max = u.utilization;
     }
     EXPECT_GT(pipe_max, 0.8);
+}
+
+TEST(IntegrationTest, UtilProbesMatchAnalysisAndCreateNothing)
+{
+    // A 2 h run leaves some hosts and datastores untouched.  Reading
+    // the analysis must not create their agents or slot centers, so
+    // the util probes read the same before and after it, and equal
+    // the analysis means bit for bit.
+    CloudSetupSpec spec = cloudASpec();
+    spec.workload.duration = hours(2);
+    CloudSimulation cs(spec, 1);
+    TelemetryRegistry reg;
+    cs.enableTelemetry(&reg);
+    cs.run();
+
+    auto probe = [&reg](const std::string &name) {
+        for (const ResourceUtilization &u : reg.readUtils())
+            if (u.name == name)
+                return u.utilization;
+        ADD_FAILURE() << "no util probe " << name;
+        return -1.0;
+    };
+    double agents = probe("util.agents");
+    double slots = probe("util.datastores");
+    EXPECT_GT(agents, 0.0);
+    EXPECT_GT(slots, 0.0);
+
+    std::unordered_map<std::string, double> analysis;
+    for (const ResourceUtilization &u : collectUtilizations(cs.server()))
+        analysis[u.name] = u.utilization;
+    EXPECT_EQ(probe("util.agents"), agents);
+    EXPECT_EQ(probe("util.datastores"), slots);
+    EXPECT_EQ(analysis.at("host-agents(mean)"), agents);
+    EXPECT_EQ(analysis.at("datastore-slots(mean)"), slots);
+    EXPECT_EQ(probe("util.fabric"), analysis.at("network-fabric"));
 }
 
 TEST(IntegrationTest, LinkedClonesAreControlPlaneLimitedUnderStorm)

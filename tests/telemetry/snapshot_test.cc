@@ -2,7 +2,8 @@
  * @file
  * Registry + snapshot-emitter tests: one instrument per name, the
  * snapshot edge cases (a window with zero events;
- * a run shorter than one window), the health report, and the
+ * a run shorter than one window), the health report and its one
+ * dominant-resource rule (ties, idle windows), and the
  * O(instruments) footprint contract.
  */
 
@@ -124,7 +125,7 @@ TEST(SnapshotEmitter, WindowWithZeroEventsStillEmits)
     Simulator sim(1);
     TelemetryRegistry reg(seconds(5));
     reg.counter("ops"); // registered but never incremented
-    reg.addUtilProbe("util.x", [] { return 0.25; });
+    reg.addUtilProbe("util.x", true, [] { return 0.25; });
 
     SnapshotEmitter em(sim, reg, seconds(5));
     std::ostringstream out;
@@ -146,7 +147,7 @@ TEST(SnapshotEmitter, RunShorterThanOneWindowSnapshotsAtFinish)
     Simulator sim(1);
     TelemetryRegistry reg(seconds(60));
     WindowedCounter *c = reg.counter("ops");
-    reg.addUtilProbe("util.x", [] { return 0.5; });
+    reg.addUtilProbe("util.x", true, [] { return 0.5; });
     sim.schedule(seconds(2), [&] { c->add(sim.now()); });
 
     SnapshotEmitter em(sim, reg, seconds(60));
@@ -212,12 +213,12 @@ TEST(SnapshotEmitter, UnstartedEmitterSchedulesNothing)
 TEST(HealthReport, RanksSubsystemsAndFlagsControlPlane)
 {
     TelemetryRegistry reg;
-    reg.addUtilProbe("util.api", [] { return 0.9; });
-    reg.addUtilProbe("util.fabric", [] { return 0.4; });
+    reg.addUtilProbe("util.api", true, [] { return 0.9; });
+    reg.addUtilProbe("util.fabric", false, [] { return 0.4; });
 
     HealthReport hr = buildHealthReport(reg, seconds(5), {}, {});
     ASSERT_EQ(hr.subsystems.size(), 2u);
-    EXPECT_EQ(hr.subsystems[0].first, "util.api");
+    EXPECT_EQ(hr.subsystems[0].name, "util.api");
     EXPECT_EQ(hr.dominant, "util.api");
     EXPECT_TRUE(hr.control_plane_limited);
 
@@ -239,8 +240,8 @@ TEST(HealthReport, RanksSubsystemsAndFlagsControlPlane)
 TEST(HealthReport, DataPlaneDominantIsNotControlLimited)
 {
     TelemetryRegistry reg;
-    reg.addUtilProbe("util.fabric", [] { return 0.9; });
-    reg.addUtilProbe("util.api", [] { return 0.1; });
+    reg.addUtilProbe("util.fabric", false, [] { return 0.9; });
+    reg.addUtilProbe("util.api", true, [] { return 0.1; });
     HealthReport hr = buildHealthReport(reg, 0, {}, {});
     EXPECT_EQ(hr.dominant, "util.fabric");
     EXPECT_FALSE(hr.control_plane_limited);
@@ -252,12 +253,72 @@ TEST(HealthReport, DatastoreSlotsDominantIsControlLimited)
     // bottleneck analysis's control-plane "datastore-slots"), not
     // the data-plane copy pipes.
     TelemetryRegistry reg;
-    reg.addUtilProbe("util.datastores", [] { return 0.95; });
-    reg.addUtilProbe("util.fabric", [] { return 0.5; });
-    reg.addUtilProbe("util.api", [] { return 0.1; });
+    reg.addUtilProbe("util.datastores", true, [] { return 0.95; });
+    reg.addUtilProbe("util.fabric", false, [] { return 0.5; });
+    reg.addUtilProbe("util.api", true, [] { return 0.1; });
     HealthReport hr = buildHealthReport(reg, 0, {}, {});
     EXPECT_EQ(hr.dominant, "util.datastores");
     EXPECT_TRUE(hr.control_plane_limited);
+}
+
+TEST(HealthReport, TieGoesToFirstListedInEveryVerdict)
+{
+    // Two resources at equal load: the analysis rule, the health
+    // report and the emitter's window history all name the one
+    // registered first, even though the other sorts first by name.
+    Simulator sim(1);
+    TelemetryRegistry reg(seconds(10));
+    reg.addUtilProbe("util.fabric", false, [] { return 0.5; });
+    reg.addUtilProbe("util.api", true, [] { return 0.5; });
+
+    EXPECT_EQ(bottleneckResource(reg.readUtils()), "util.fabric");
+    EXPECT_FALSE(controlPlaneLimited(reg.readUtils()));
+
+    SnapshotEmitter em(sim, reg, seconds(10));
+    em.emitNow();
+    EXPECT_EQ(em.recentDominants(),
+              std::vector<std::string>{"util.fabric"});
+
+    HealthReport hr = buildHealthReport(reg, sim.now(),
+                                        em.recentDominants(),
+                                        em.windowWins());
+    EXPECT_EQ(hr.dominant, "util.fabric");
+    EXPECT_FALSE(hr.control_plane_limited);
+    // Display order still breaks the tie by name.
+    EXPECT_EQ(hr.subsystems[0].name, "util.api");
+    EXPECT_NE(healthText(hr).find(
+                  "dominant bottleneck: util.fabric (data plane)"),
+              std::string::npos);
+}
+
+TEST(HealthReport, IdleWindowsAreCreditedToNone)
+{
+    // Every util probe reads 0 until the load arrives: those windows
+    // have no dominant, in the history as in the end-of-run verdict.
+    Simulator sim(1);
+    TelemetryRegistry reg(seconds(10));
+    double agents = 0.0;
+    reg.addUtilProbe("util.agents", true, [&] { return agents; });
+    reg.addUtilProbe("util.fabric", false, [] { return 0.0; });
+
+    SnapshotEmitter em(sim, reg, seconds(10));
+    em.emitNow();
+    em.emitNow();
+    HealthReport idle = buildHealthReport(reg, sim.now(), {}, {});
+    EXPECT_EQ(idle.dominant, "none");
+    EXPECT_FALSE(idle.control_plane_limited);
+    EXPECT_NE(healthText(idle).find("dominant bottleneck: none\n"),
+              std::string::npos);
+
+    agents = 0.2;
+    em.emitNow();
+    EXPECT_EQ(em.recentDominants(),
+              (std::vector<std::string>{"none", "none", "util.agents"}));
+    auto wins = em.windowWins();
+    ASSERT_EQ(wins.size(), 2u);
+    EXPECT_EQ(wins[0], (std::pair<std::string, std::uint64_t>{"none", 2}));
+    EXPECT_EQ(wins[1],
+              (std::pair<std::string, std::uint64_t>{"util.agents", 1}));
 }
 
 } // namespace

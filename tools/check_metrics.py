@@ -5,7 +5,8 @@ Prometheus text-exposition sibling).
 Checks the stream shape the snapshot emitter promises: every line is
 one JSON object of type "snapshot" or "health"; snapshots carry
 strictly increasing seq and non-decreasing ts_us; exactly one health
-line, and it is the last line.  Per snapshot it checks the section
+line, and it is the last line; its dominant is one of its subsystems,
+or "none" only when every subsystem reads 0.  Per snapshot it checks the section
 envelope (counters/gauges/utils/hists/shards), non-negative windowed
 counts and rates, window totals never exceeding all-time totals,
 utilizations in [0, 1.5] (transient over-unity is tolerated while a
@@ -118,7 +119,12 @@ def check_health(problems, i, obj):
     for name, util in subs.items():
         check_number(problems, f"{where} subsystems.{name}", util, 0)
     dominant = obj.get("dominant")
-    if dominant not in subs:
+    if dominant == "none":
+        if any(isinstance(u, (int, float)) and u > 0
+               for u in subs.values()):
+            err(problems, f"{where}: dominant 'none' but a subsystem "
+                "reads above 0")
+    elif dominant not in subs:
         err(problems, f"{where}: dominant {dominant!r} not a subsystem")
     if not isinstance(obj.get("control_plane_limited"), bool):
         err(problems, f"{where}: control_plane_limited not bool")

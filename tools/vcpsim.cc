@@ -335,19 +335,15 @@ sweepMain(int argc, char **argv)
         CloudSimulation cs(
             s, ParallelSweepRunner::forkSeed(seed, i));
         cs.run();
-        auto utils = collectUtilizations(cs.server());
-        const ResourceUtilization *top = nullptr;
-        for (const auto &u : utils) {
-            if (!top || u.utilization > top->utilization)
-                top = &u;
-        }
+        ResourceUtilization top =
+            dominantResource(collectUtilizations(cs.server()));
         SweepRow &r = rows[i];
         r.deploys_ok = cs.cloud().deploysSucceeded();
         r.deploys_failed = cs.cloud().deploysFailed();
         r.vms_provisioned = cs.cloud().vmsProvisioned();
         r.ops_failed = cs.server().opsFailed();
-        r.bottleneck = top ? top->name : "none";
-        r.bneck_util = top ? top->utilization : 0.0;
+        r.bottleneck = top.name;
+        r.bneck_util = top.utilization;
     });
 
     Table t({"rate/h", "deploys_ok", "deploys_failed",
@@ -546,8 +542,14 @@ vcpsimMain(int argc, char **argv)
     FailureConfig fcfg;
     fcfg.mtbf = hours(mtbf_hours);
     FailureInjector injector(ha, fcfg, cs.sim().rng().fork());
-    if (mtbf_hours > 0.0)
+    if (mtbf_hours > 0.0) {
+        // Only a live injector attaches: attaching creates the
+        // chaos.* series, which would otherwise appear at zero in
+        // every metrics run.
+        if (telem)
+            injector.attachTelemetry(telem.get());
         injector.start();
+    }
 
     // The chaos fork only happens when a scenario is configured, so
     // a chaos-free run's RNG stream — and therefore its output —
@@ -654,7 +656,7 @@ vcpsimMain(int argc, char **argv)
             for (HostId h : cs.hostIds())
                 hr.top_hosts.push_back(
                     {"host-" + std::to_string(h.value),
-                     srv.hostAgent(h).center().utilization()});
+                     srv.agentUtilization(h)});
             Fabric &fab = cs.network().topology();
             for (std::size_t l = 0; l < fab.numLinks(); ++l) {
                 auto id = static_cast<FabricLinkId>(l);
